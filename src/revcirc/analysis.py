@@ -16,14 +16,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .ir import Machine
-from .sim import (
-    EXHAUSTIVE_BOUND,
-    ExhaustiveBoundError,
-    initial_state,
-    is_injective,
-    run,
-    truth_table,
-)
+from .sim import EXHAUSTIVE_BOUND, RestorationViolationError, is_injective, truth_table
 
 
 class InsufficientPointsError(ValueError):
@@ -97,6 +90,30 @@ class ConformanceReport:
             "clauses": [c.as_dict() for c in self.clauses],
         }
 
+    @classmethod
+    def from_outcome(
+        cls, machine: Machine, machine_id: str, violation: RestorationViolationError | None
+    ) -> ConformanceReport:
+        """The report on `machine` given how its enumeration ended.
+
+        `violation` is what `truth_table` raised for the first input on which
+        a declared-restored line missed its constant, or None if every row
+        held. The two partition clauses are structural, enforced when the
+        interface was built, and re-stated for completeness.
+        """
+        restored = ClauseResult(
+            "restored-constants", True, detail="" if machine.iface.restored_lines else "no restored lines declared"
+        )
+        if violation is not None:
+            detail = f"line {violation.line} should hold {violation.const} but holds {violation.held}"
+            restored = ClauseResult("restored-constants", False, violation.input_value, detail)
+        clauses = (
+            ClauseResult("initial-partition", True, detail="input and preset lines partition the width"),
+            ClauseResult("final-partition", True, detail="output, garbage, and restored lines partition the width"),
+            restored,
+        )
+        return cls(machine_id, all(c.passed for c in clauses), clauses)
+
 
 @dataclass(frozen=True)
 class GrowthReport:
@@ -157,44 +174,16 @@ def conformance(
 ) -> ConformanceReport:
     """Check the interface declaration against actual behavior on every input.
 
-    The two partition clauses are structural and re-stated for completeness;
-    the restored-lines clause actually runs the machine and reports the first
-    input on which a declared-restored line fails to hold its constant.
+    A reading of `truth_table`, which verifies the restored lines row by row:
+    the report names the first input on which a declared-restored line fails
+    to hold its constant.
     """
-    iface = machine.iface
-    n = iface.input_width
-    if n > max_input_bits:
-        raise ExhaustiveBoundError(
-            f"input region has {n} bits; refusing exhaustive conformance check "
-            f"beyond {max_input_bits}"
-        )
-    clauses = [
-        ClauseResult("initial-partition", True, detail="input and preset lines partition the width"),
-        ClauseResult("final-partition", True, detail="output, garbage, and restored lines partition the width"),
-    ]
-    restored_clause = ClauseResult("restored-constants", True, detail="no restored lines declared" if not iface.restored_lines else "")
-    for x in range(1 << n):
-        final = run(machine.circuit, initial_state(machine, x))
-        bad = [
-            (line, const)
-            for line, const in iface.restored_lines
-            if final.bits[line] != const
-        ]
-        if bad:
-            line, const = bad[0]
-            restored_clause = ClauseResult(
-                "restored-constants",
-                False,
-                witness=x,
-                detail=f"line {line} should hold {const} but holds {final.bits[line]}",
-            )
-            break
-    clauses.append(restored_clause)
-    return ConformanceReport(
-        machine_id=machine_id(machine, label),
-        passed=all(c.passed for c in clauses),
-        clauses=tuple(clauses),
-    )
+    violation = None
+    try:
+        truth_table(machine, max_input_bits)
+    except RestorationViolationError as exc:
+        violation = exc
+    return ConformanceReport.from_outcome(machine, machine_id(machine, label), violation)
 
 
 def classify_growth(points: Sequence[tuple[int, int]]) -> tuple[str, dict]:

@@ -18,11 +18,11 @@ from pathlib import Path
 import click
 
 from . import library
-from .analysis import conformance, garbage_profile, growth_report
+from .analysis import ConformanceReport, garbage_profile, growth_report, machine_id
 from .fileformat import parse_circuit, serialize
 from .invert import InversionError, invert_blind, invert_with_profile
 from .ir import InvalidCircuitError, Machine, inverse_machine
-from .sim import BitState, ExhaustiveBoundError, initial_state, is_injective, run, truth_table
+from .sim import BitState, ExhaustiveBoundError, RestorationViolationError, initial_state, is_injective, run, truth_table
 from .transforms import bennett, zero_garbage_compose
 
 
@@ -35,10 +35,10 @@ def _save(machine: Machine, path: str) -> None:
         fh.write(serialize(machine))
 
 
-def _bits_to_int(bits: str, region: str, expected_len: int) -> int:
+def _bits_to_int(bits: str, what: str, expected_len: int) -> int:
     if len(bits) != expected_len or any(ch not in "01" for ch in bits):
         raise click.UsageError(
-            f"expected {expected_len} characters of 0/1 for the {region} region, got {bits!r}"
+            f"expected {expected_len} characters of 0/1 for the {what}, got {bits!r}"
         )
     return sum(int(ch) << i for i, ch in enumerate(bits))
 
@@ -76,7 +76,8 @@ def sim(path: str, bits: str | None, value: int | None, backward: bool, as_json:
     if backward:
         if value is not None:
             raise click.UsageError("--backward needs the full final state via -x, not --int")
-        state = BitState(iface.width, tuple(int(ch) for ch in _validate_bits(bits, iface.width)))
+        final_value = _bits_to_int(bits, "final state", iface.width)
+        state = BitState.zeros(iface.width).with_value(range(iface.width), final_value)
         start = run(machine.circuit, state, "backward")
         presets_ok = all(start.bits[l] == c for l, c in iface.preset_lines)
         report = {
@@ -96,7 +97,7 @@ def sim(path: str, bits: str | None, value: int | None, backward: bool, as_json:
         _emit(report, as_json, human)
         return
 
-    x = value if value is not None else _bits_to_int(bits, "input", iface.input_width)
+    x = value if value is not None else _bits_to_int(bits, "input region", iface.input_width)
     if not 0 <= x < (1 << iface.input_width):
         raise click.UsageError(f"input value {x} does not fit {iface.input_width} bits")
     final = run(machine.circuit, initial_state(machine, x))
@@ -120,12 +121,6 @@ def sim(path: str, bits: str | None, value: int | None, backward: bool, as_json:
         f"final state: {final}",
     ]
     _emit(report, as_json, human)
-
-
-def _validate_bits(bits: str, width: int) -> str:
-    if len(bits) != width or any(ch not in "01" for ch in bits):
-        raise click.UsageError(f"expected {width} characters of 0/1, got {bits!r}")
-    return bits
 
 
 @cli.command()
@@ -207,8 +202,16 @@ def zg_compose(fwd_path: str, inv_path: str, out: str, as_json: bool) -> None:
 def profile(path: str, as_json: bool) -> None:
     """Enumerate the reachable garbage configurations."""
     machine = _load(path)
-    prof = garbage_profile(machine)
-    conf = conformance(machine)
+    try:
+        prof = garbage_profile(machine)
+    except RestorationViolationError as exc:
+        conf = ConformanceReport.from_outcome(machine, machine_id(machine), exc)
+        _emit({"command": "profile", "conformance": conf.as_dict()}, as_json, [
+            f"machine: {conf.machine_id}",
+            f"conformance: FAIL (input {exc.input_value}: {conf.clauses[-1].detail})",
+        ])
+        raise
+    conf = ConformanceReport.from_outcome(machine, prof.machine_id, None)
     report = {"command": "profile", **prof.as_dict(), "conformance": conf.as_dict()}
     k = prof.garbage_bits
     human = [
@@ -261,7 +264,7 @@ def invert(
     iface = machine.iface
     if (bits is None) == (value is None):
         raise click.UsageError("give exactly one of -y or --int")
-    y = value if value is not None else _bits_to_int(bits, "output", iface.output_width)
+    y = value if value is not None else _bits_to_int(bits, "output region", iface.output_width)
     if not 0 <= y < (1 << iface.output_width):
         raise click.UsageError(f"output value {y} does not fit {iface.output_width} bits")
 

@@ -26,7 +26,7 @@ from .ir import Circuit, InterfaceSpec, InvalidCircuitError, Machine, make_gate
 
 _DIRECTIVES = ("width", "input", "preset", "output", "garbage", "restored")
 _TOKEN = re.compile(r"\S+")
-_ASSIGN = re.compile(r"^(\d+)=([01])$")
+_ASSIGN = re.compile(r"^([0-9]+)=([01])$")
 
 
 class CircuitSyntaxError(InvalidCircuitError):
@@ -66,7 +66,14 @@ def parse_circuit(text: str) -> Machine:
                 raise CircuitSyntaxError(f"duplicate directive {keyword!r}", lineno, col)
             seen.add(keyword)
             if keyword == "width":
-                width = _parse_width(args, lineno, col)
+                if len(args) != 1:
+                    raise CircuitSyntaxError("width takes exactly one argument", lineno, col)
+                token, tcol = args[0]
+                width = _parse_index(token, lineno, tcol, "width must be a positive integer")
+                if width < 1:
+                    raise CircuitSyntaxError(
+                        f"width must be a positive integer, got {token!r}", lineno, tcol
+                    )
             elif keyword in ("preset", "restored"):
                 regions[keyword] = [_parse_assignment(t, lineno, c) for t, c in args]
             else:
@@ -93,28 +100,22 @@ def parse_circuit(text: str) -> Machine:
         raise InvalidCircuitError(f"invalid circuit document: {exc}") from exc
 
 
-def _parse_width(args: list[tuple[str, int]], lineno: int, col: int) -> int:
-    if len(args) != 1:
-        raise CircuitSyntaxError("width takes exactly one argument", lineno, col)
-    token, tcol = args[0]
-    if not token.isdigit() or int(token) < 1:
-        raise CircuitSyntaxError(f"width must be a positive integer, got {token!r}", lineno, tcol)
-    return int(token)
-
-
-def _parse_index(token: str, lineno: int, col: int) -> int:
-    if not token.isdigit():
-        raise CircuitSyntaxError(f"expected a line index, got {token!r}", lineno, col)
-    return int(token)
+def _parse_index(token: str, lineno: int, col: int, expected: str = "expected a line index") -> int:
+    # ASCII only: str.isdigit also accepts digits such as '²' and '٣'.
+    if token.isascii() and token.isdigit():
+        try:
+            return int(token)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise CircuitSyntaxError(f"{expected}, got {token!r}", lineno, col)
 
 
 def _parse_assignment(token: str, lineno: int, col: int) -> tuple[int, int]:
+    expected = "expected LINE=BIT with BIT 0 or 1"
     m = _ASSIGN.match(token)
     if m is None:
-        raise CircuitSyntaxError(
-            f"expected LINE=BIT with BIT 0 or 1, got {token!r}", lineno, col
-        )
-    return int(m.group(1)), int(m.group(2))
+        raise CircuitSyntaxError(f"{expected}, got {token!r}", lineno, col)
+    return _parse_index(m.group(1), lineno, col, expected), int(m.group(2))
 
 
 def _parse_gate(

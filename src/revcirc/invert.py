@@ -69,18 +69,29 @@ def _final_state(machine: Machine, y: int, config: int) -> BitState:
     return state
 
 
-def _presets_consistent(machine: Machine, start: BitState) -> bool:
-    return all(start.bits[line] == const for line, const in machine.iface.preset_lines)
+def _check_output(machine: Machine, y: int) -> None:
+    width = machine.iface.output_width
+    if not 0 <= y < (1 << width):
+        raise InvalidCircuitError(f"output value {y} does not fit the {width}-bit output region")
 
 
-def _confirm(machine: Machine, start: BitState, y: int, config: int) -> None:
-    final = run(machine.circuit, start)
+def _trial(machine: Machine, y: int, config: int) -> BitState | None:
+    """Run backward from output `y` and garbage `config`; the start state if it fits.
+
+    It fits when every preset line lands on its constant. A fitting start is
+    confirmed by one forward run before it is returned.
+    """
     iface = machine.iface
+    start = run(machine.circuit, _final_state(machine, y, config), "backward")
+    if any(start.bits[line] != const for line, const in iface.preset_lines):
+        return None
+    final = run(machine.circuit, start)
     if final.value_of(iface.output_lines) != y or final.value_of(iface.garbage_lines) != config:
         raise InversionError(
             "forward re-run did not reproduce the requested output; "
             "the machine or its interface is inconsistent"
         )
+    return start
 
 
 def invert_with_profile(machine: Machine, y: int, profile: GarbageProfile) -> InversionResult:
@@ -91,26 +102,14 @@ def invert_with_profile(machine: Machine, y: int, profile: GarbageProfile) -> In
     whose output function is not injective the first matching preimage wins
     and `unique_preimage` is False.
     """
-    iface = machine.iface
-    if not 0 <= y < (1 << iface.output_width):
-        raise InvalidCircuitError(
-            f"output value {y} does not fit the {iface.output_width}-bit output region"
-        )
+    _check_output(machine, y)
     if not profile.configs:
         raise InvalidCircuitError("profile has no garbage configurations")
-    trials = 0
-    for config in profile.configs:
-        trials += 1
-        start = run(machine.circuit, _final_state(machine, y, config), "backward")
-        if _presets_consistent(machine, start):
-            _confirm(machine, start, y, config)
-            return InversionResult(
-                input_value=start.value_of(iface.input_lines),
-                trials=trials,
-                method="table",
-                matched_config=config,
-                unique_preimage=profile.per_output is not None,
-            )
+    for trials, config in enumerate(profile.configs, start=1):
+        start = _trial(machine, y, config)
+        if start is not None:
+            input_value = start.value_of(machine.iface.input_lines)
+            return InversionResult(input_value, trials, "table", config, profile.per_output is not None)
     raise NoMatchingConfigError(
         f"no garbage configuration matches output {y}: it is not in the machine's image"
     )
@@ -129,16 +128,12 @@ def invert_blind(
     past the 2^k expected for k garbage bits, so exhausting it on a machine
     whose output is actually in the image is astronomically unlikely.
     """
-    iface = machine.iface
-    k = iface.garbage_width
+    k = machine.iface.garbage_width
     if k > max_garbage_bits:
         raise ExhaustiveBoundError(
             f"garbage region has {k} bits; refusing blind search beyond {max_garbage_bits}"
         )
-    if not 0 <= y < (1 << iface.output_width):
-        raise InvalidCircuitError(
-            f"output value {y} does not fit the {iface.output_width}-bit output region"
-        )
+    _check_output(machine, y)
     if max_trials is None:
         max_trials = 64 << k
     if max_trials < 1:
@@ -146,15 +141,9 @@ def invert_blind(
     rng = random.Random(seed)
     for trial in range(1, max_trials + 1):
         config = rng.getrandbits(k) if k else 0
-        start = run(machine.circuit, _final_state(machine, y, config), "backward")
-        if _presets_consistent(machine, start):
-            _confirm(machine, start, y, config)
-            return InversionResult(
-                input_value=start.value_of(iface.input_lines),
-                trials=trial,
-                method="blind",
-                matched_config=config,
-            )
+        start = _trial(machine, y, config)
+        if start is not None:
+            return InversionResult(start.value_of(machine.iface.input_lines), trial, "blind", config)
     raise TrialBudgetExceededError(
         f"no consistent garbage string found for output {y} in {max_trials} trials "
         f"(k={k} garbage bits; expected cost grows as 2^k)",

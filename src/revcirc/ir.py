@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 
 class InvalidCircuitError(ValueError):
@@ -84,7 +84,7 @@ class Circuit:
         for gate in self.gates:
             if max(gate.lines) >= self.width:
                 raise InvalidCircuitError(
-                    f"gate on lines {gate.lines} exceeds circuit width {self.width}"
+                    f"gate on lines {gate.lines} out of range for width {self.width}"
                 )
 
     def __len__(self) -> int:
@@ -157,14 +157,13 @@ class InterfaceSpec:
             if const not in (0, 1):
                 raise InvalidCircuitError(f"constant for line {line} must be 0 or 1, got {const}")
 
-        all_lines = range(self.width)
         self._check_partition(
-            "initial", (self.input_lines, tuple(l for l, _ in self.preset_lines)), all_lines
+            "initial", (self.input_lines, tuple(l for l, _ in self.preset_lines)), self.width
         )
         self._check_partition(
             "final",
             (self.output_lines, self.garbage_lines, tuple(l for l, _ in self.restored_lines)),
-            all_lines,
+            self.width,
         )
         presets = dict(self.preset_lines)
         for line, const in self.restored_lines:
@@ -176,13 +175,14 @@ class InterfaceSpec:
                 )
 
     @staticmethod
-    def _check_partition(which: str, groups: tuple[tuple[int, ...], ...], expected: Iterable[int]) -> None:
+    def _check_partition(which: str, groups: tuple[tuple[int, ...], ...], width: int) -> None:
+        # Only the listed lines are ever collected, so a huge `width` costs nothing.
         seen: list[int] = []
         for group in groups:
             seen.extend(group)
         if len(seen) != len(set(seen)):
             raise InvalidCircuitError(f"{which} role declaration lists a line twice")
-        if set(seen) != set(expected):
+        if len(seen) != width or not all(0 <= line < width for line in seen):
             raise InvalidCircuitError(
                 f"{which} role declaration does not cover every line exactly once"
             )

@@ -23,7 +23,20 @@ class ExhaustiveBoundError(ValueError):
 
 
 class RestorationViolationError(InvalidCircuitError):
-    """A line declared restored did not return to its constant: the declaration is false."""
+    """A line declared restored did not return to its constant: the declaration is false.
+
+    Carries the first failing input, the line, its declared constant and the
+    value the line actually held.
+    """
+
+    def __init__(self, input_value: int, line: int, const: int, held: int):
+        super().__init__(
+            f"line {line} declared restored to {const} but holds {held} for input {input_value}"
+        )
+        self.input_value = input_value
+        self.line = line
+        self.const = const
+        self.held = held
 
 
 @dataclass(frozen=True)
@@ -84,16 +97,7 @@ class FunctionTable:
 
 def step(state: BitState, gate: Gate) -> BitState:
     """Apply one gate: flip the target iff every control bit is 1."""
-    if max(gate.lines) >= state.width:
-        raise InvalidCircuitError(
-            f"gate on lines {gate.lines} out of range for width {state.width}"
-        )
-    bits = state.bits
-    if all(bits[c] for c in gate.controls):
-        flipped = list(bits)
-        flipped[gate.target] ^= 1
-        return BitState(state.width, tuple(flipped))
-    return state
+    return run(Circuit(state.width, (gate,)), state)
 
 
 def run(circuit: Circuit, state: BitState, direction: str = "forward") -> BitState:
@@ -145,10 +149,7 @@ def truth_table(machine: Machine, max_input_bits: int = EXHAUSTIVE_BOUND) -> Fun
         final = run(machine.circuit, initial_state(machine, x))
         for line, const in restored:
             if final.bits[line] != const:
-                raise RestorationViolationError(
-                    f"line {line} declared restored to {const} but holds "
-                    f"{final.bits[line]} for input {x}"
-                )
+                raise RestorationViolationError(x, line, const, final.bits[line])
         rows[x] = (final.value_of(iface.output_lines), final.value_of(iface.garbage_lines))
     return FunctionTable(n, iface.output_width, rows)
 

@@ -2,9 +2,11 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
 
 from revcirc import (
     Circuit,
+    ConformanceReport,
     ExhaustiveBoundError,
     InsufficientPointsError,
     InterfaceSpec,
@@ -16,10 +18,14 @@ from revcirc import (
     garbage_profile,
     growth_report,
     incrementer,
+    initial_state,
     make_gate,
     ripple_adder,
+    run,
     zero_garbage_compose,
 )
+from revcirc.analysis import ClauseResult
+from conftest import machines
 
 
 def bit_reversal(n: int) -> Machine:
@@ -109,6 +115,39 @@ class TestConformance:
         clause = {c.name: c for c in rep.clauses}["restored-constants"]
         assert clause.passed is False
         assert clause.witness == 1  # input 1 copies a 1 onto the "restored" line
+
+    @given(machines())
+    def test_matches_per_row_reference(self, m):
+        # machines() may declare restored lines falsely, so both verdicts occur
+        assert conformance(m, label="m") == reference_conformance(m)
+
+
+def reference_conformance(machine: Machine) -> ConformanceReport:
+    """The literal per-row restored-lines scan, kept as the oracle for `conformance`."""
+    iface = machine.iface
+    clauses = [
+        ClauseResult("initial-partition", True, detail="input and preset lines partition the width"),
+        ClauseResult("final-partition", True, detail="output, garbage, and restored lines partition the width"),
+    ]
+    restored_clause = ClauseResult("restored-constants", True, detail="no restored lines declared" if not iface.restored_lines else "")
+    for x in range(1 << iface.input_width):
+        final = run(machine.circuit, initial_state(machine, x))
+        bad = [
+            (line, const)
+            for line, const in iface.restored_lines
+            if final.bits[line] != const
+        ]
+        if bad:
+            line, const = bad[0]
+            restored_clause = ClauseResult(
+                "restored-constants",
+                False,
+                witness=x,
+                detail=f"line {line} should hold {const} but holds {final.bits[line]}",
+            )
+            break
+    clauses.append(restored_clause)
+    return ConformanceReport("m", all(c.passed for c in clauses), tuple(clauses))
 
 
 class TestGrowth:

@@ -99,6 +99,17 @@ class TestProfileAndGrowth:
         assert report["configs"] == [0, 1]
         assert report["conformance"]["passed"] is True
 
+    def test_profile_reports_false_restoration(self, capsys, tmp_path):
+        # line 1 is declared restored, but the gate copies the input onto it
+        liar = tmp_path / "liar.rvc"
+        liar.write_text("width 2\ninput 0\npreset 1=0\noutput 0\nrestored 1=0\ngate cx 0 1\n")
+        code, out = run_cli(capsys, "profile", "-c", str(liar), "--json")
+        assert code == 2
+        conf = json.loads(out)["conformance"]
+        assert conf["passed"] is False
+        clause = {c["name"]: c for c in conf["clauses"]}["restored-constants"]
+        assert clause["witness_input"] == 1
+
     def test_growth_incr(self, capsys):
         report = run_json(capsys, "growth", "--family", "incr", "--from", "2", "--to", "8")
         assert report["classification"] == "linear"
@@ -163,6 +174,14 @@ class TestExitCodes:
         bad = tmp_path / "bad.rvc"
         bad.write_text("width 2\ninput 0 1\noutput 0 1\ngate ccx 0 1 5\n")
         assert main(["sim", "-c", str(bad), "--int", "1"]) == 2
+
+    @pytest.mark.parametrize(
+        "text", ["width \u00b2\n", "width 2\ninput 0 1\noutput 0 1\ngate cx 0 \u00b2\n"]
+    )
+    def test_non_ascii_digit_document(self, capsys, tmp_path, text):
+        bad = tmp_path / "bad.rvc"
+        bad.write_text(text, encoding="utf-8")
+        assert main(["sim", "-c", str(bad), "--int", "0"]) == 2
 
     def test_partition_violation_document(self, capsys, tmp_path):
         bad = tmp_path / "bad.rvc"

@@ -1,13 +1,17 @@
 """Parsing and canonical serialization of .rvc documents."""
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from revcirc import (
     CircuitSyntaxError,
     GateKind,
     InvalidCircuitError,
+    Machine,
     bennett,
     incrementer,
     parse_circuit,
@@ -81,6 +85,77 @@ class TestParse:
             parse_circuit("width 1\ninput 0\noutput 0\ngate swap 0\n")
         assert exc.value.line == 4
         assert exc.value.column == 6
+
+    @pytest.mark.parametrize(
+        "text,line,column",
+        [
+            ("width \u00b2\n", 1, 7),  # superscript two
+            ("width \u0663\ninput 0 1 2\noutput 0 1 2\n", 1, 7),  # Arabic-Indic three
+            ("width 2\ninput 0 1\noutput 0 1\ngate cx 0 \u00b2\n", 4, 11),
+            ("width 2\ninput 0\npreset 1\u0663=0\noutput 0 1\n", 3, 8),
+        ],
+    )
+    def test_non_ascii_digits_rejected(self, text, line, column):
+        with pytest.raises(CircuitSyntaxError) as exc:
+            parse_circuit(text)
+        assert (exc.value.line, exc.value.column) == (line, column)
+
+    @pytest.mark.parametrize("width", [10**6, 10**18])
+    def test_huge_width_refused_without_allocating(self, width):
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidCircuitError, match="cover every line"):
+                parse_circuit(f"width {width}\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+# str.isdigit() accepts each of these; only ASCII 0-9 may spell a number
+_NON_ASCII_DIGITS = st.sampled_from(["\u00b2", "1\u00b2", "\u0663", "\uff11"])
+_NUMBERS = st.one_of(st.integers(0, 8).map(str), st.integers(0, 10**18).map(str), _NON_ASCII_DIGITS)
+_WORDS = st.one_of(
+    _NUMBERS,
+    st.sampled_from(["x", "cx", "ccx", "swap", "#", "=", "-1"]),
+    st.tuples(_NUMBERS, st.sampled_from(["0", "1", "2", "\u00b2"])).map("=".join),
+)
+_STATEMENTS = st.tuples(
+    st.sampled_from(["width", "input", "preset", "output", "garbage", "restored", "gate", "qubits"]),
+    st.lists(_WORDS, max_size=5),
+).map(lambda t: " ".join((t[0], *t[1])))
+
+
+@st.composite
+def _mutated_documents(draw):
+    """A serialized machine with one operand swapped for a vocabulary word."""
+    lines = [line.split() for line in serialize(draw(machines())).splitlines()]
+    i = draw(st.integers(0, len(lines) - 1))
+    lines[i][draw(st.integers(1, len(lines[i]) - 1))] = draw(st.one_of(_NON_ASCII_DIGITS, _WORDS))
+    return "\n".join(" ".join(line) for line in lines)
+
+
+_VOCABULARY_TEXT = st.one_of(st.lists(_STATEMENTS, max_size=10).map("\n".join), _mutated_documents())
+
+
+def _parses_or_refuses(text: str) -> None:
+    try:
+        machine = parse_circuit(text)
+    except InvalidCircuitError:
+        return
+    assert isinstance(machine, Machine)
+
+
+class TestParseFuzz:
+    @given(st.text())
+    def test_arbitrary_text(self, text):
+        _parses_or_refuses(text)
+
+    @given(_VOCABULARY_TEXT)
+    @example("width 1\ninput " + "1" * 5000 + "\noutput 0\n")  # past int()'s digit limit
+    @example("width 2\ninput 0\npreset " + "1" * 5000 + "=0\noutput 0 1\n")
+    def test_rvc_vocabulary(self, text):
+        _parses_or_refuses(text)
 
 
 class TestSerialize:

@@ -55,8 +55,12 @@ class TestStep:
         assert step(state(1), x) == state(0)
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(InvalidCircuitError, match="out of range"):
+        # step runs a one-gate Circuit, so the Circuit's own check refuses the gate
+        message = r"gate on lines \(0, 1, 2\) out of range for width 2"
+        with pytest.raises(InvalidCircuitError, match=message):
             step(state(0, 0), CCX)
+        with pytest.raises(InvalidCircuitError, match=message):
+            Circuit(2, (CCX,))
 
 
 class TestRun:
@@ -137,8 +141,10 @@ class TestTruthTable:
             restored_lines=((1, 0),),
         )
         liar = Machine(Circuit(2, (make_gate("cx", [0], 1),)), iface)
-        with pytest.raises(RestorationViolationError, match="restored"):
+        with pytest.raises(RestorationViolationError, match="restored") as exc:
             truth_table(liar)
+        err = exc.value
+        assert (err.input_value, err.line, err.const, err.held) == (1, 1, 0, 1)
 
     def test_row_count_invariant(self):
         with pytest.raises(ValueError, match="rows"):
