@@ -16,7 +16,13 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .ir import Machine
-from .sim import EXHAUSTIVE_BOUND, RestorationViolationError, is_injective, truth_table
+from .sim import (
+    EXHAUSTIVE_BOUND,
+    RestorationViolationError,
+    check_enumeration_bound,
+    is_injective,
+    truth_table,
+)
 
 
 class InsufficientPointsError(ValueError):
@@ -174,9 +180,9 @@ def conformance(
 ) -> ConformanceReport:
     """Check the interface declaration against actual behavior on every input.
 
-    A reading of `truth_table`, which verifies the restored lines row by row:
-    the report names the first input on which a declared-restored line fails
-    to hold its constant.
+    A reading of `truth_table`, which verifies the restored lines on every
+    row: the report names the first input on which a declared-restored line
+    fails to hold its constant.
     """
     violation = None
     try:
@@ -243,13 +249,20 @@ def growth_report(
     family_name: str | None = None,
     max_input_bits: int = EXHAUSTIVE_BOUND,
 ) -> GrowthReport:
-    """Profile a machine family across sizes and classify the config growth."""
+    """Profile a machine family across sizes and classify the config growth.
+
+    Every size is built, and checked against the enumeration bound, before
+    any is enumerated, so an oversized range is refused at no cost.
+    """
     sizes = sorted(set(int(n) for n in n_range))
     if len(sizes) < 3:
         raise InsufficientPointsError(f"need at least 3 sizes, got {len(sizes)}")
+    machines = [family(n) for n in sizes]
+    for m in machines:
+        check_enumeration_bound(m.iface.input_width, max_input_bits)
     points = tuple(
-        (n, garbage_profile(family(n), max_input_bits=max_input_bits).config_count)
-        for n in sizes
+        (n, garbage_profile(m, max_input_bits=max_input_bits).config_count)
+        for n, m in zip(sizes, machines)
     )
     classification, details = classify_growth(points)
     return GrowthReport(

@@ -103,12 +103,24 @@ def invert_with_profile(machine: Machine, y: int, profile: GarbageProfile) -> In
     and `unique_preimage` is False.
     """
     _check_output(machine, y)
+    iface = machine.iface
+    if (profile.input_bits, profile.garbage_bits) != (iface.input_width, iface.garbage_width):
+        raise InvalidCircuitError(
+            f"profile is of a machine with {profile.input_bits} input and "
+            f"{profile.garbage_bits} garbage bits; this one has {iface.input_width} "
+            f"and {iface.garbage_width}"
+        )
     if not profile.configs:
         raise InvalidCircuitError("profile has no garbage configurations")
     for trials, config in enumerate(profile.configs, start=1):
+        if not 0 <= config < (1 << iface.garbage_width):
+            raise InvalidCircuitError(
+                f"profile configuration {config} does not fit the "
+                f"{iface.garbage_width}-bit garbage region"
+            )
         start = _trial(machine, y, config)
         if start is not None:
-            input_value = start.value_of(machine.iface.input_lines)
+            input_value = start.value_of(iface.input_lines)
             return InversionResult(input_value, trials, "table", config, profile.per_output is not None)
     raise NoMatchingConfigError(
         f"no garbage configuration matches output {y}: it is not in the machine's image"

@@ -1,20 +1,28 @@
 """Bit-exact forward/backward execution and exhaustive truth-table extraction.
 
-Simulation is deliberately literal: a state is a vector of bits, a gate flips
-one of them, and a run applies the gate list in order (or reversed). All
-whole-function claims are checked by enumerating the input space, which is
-refused above a configurable bound so exponential work never happens by
-accident.
+Single-state simulation is deliberately literal: a state is a vector of bits,
+a gate flips one of them, and a run applies the gate list in order (or
+reversed). `run` and `BitState` are the public single-state API and the
+oracle the tests hold the table against.
+
+All whole-function claims are checked by enumerating the input space.
+`truth_table` does that bit-sliced: each line is one 2^n-bit integer holding
+its value on every input, so a gate costs one big-integer operation over the
+whole table. Enumeration is refused above a configurable bound so
+exponential work never happens by accident.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import lshift, or_
 from typing import Sequence
 
 from .ir import Circuit, Gate, InvalidCircuitError, Machine
 
 # Largest input region truth_table and friends will enumerate by default.
-# 2^20 rows is already slow; anything wider must be an explicit choice.
+# 2^20 rows takes a few seconds and holds each line in 128 KiB; anything
+# wider must be an explicit choice.
 EXHAUSTIVE_BOUND = 20
 
 
@@ -130,28 +138,95 @@ def initial_state(machine: Machine, x: int) -> BitState:
     return state.with_value(iface.input_lines, x)
 
 
-def truth_table(machine: Machine, max_input_bits: int = EXHAUSTIVE_BOUND) -> FunctionTable:
-    """Materialize the machine's whole function by enumerating every input.
+def check_enumeration_bound(input_bits: int, max_input_bits: int) -> None:
+    """Refuse to enumerate an input region of more than `max_input_bits` bits."""
+    if input_bits > max_input_bits:
+        raise ExhaustiveBoundError(
+            f"input region has {input_bits} bits; refusing exhaustive enumeration beyond "
+            f"{max_input_bits} (pass max_input_bits to override)"
+        )
 
-    Also verifies, row by row, that every line declared restored actually
-    holds its constant at the end; a violation means the interface lies.
+
+def _input_column(i: int, rows: int) -> int:
+    """Bit-sliced input line i over `rows` inputs: bit x is bit i of x.
+
+    Equal to ``(M // ((1 << (1 << i)) + 1)) << (1 << i)`` with
+    ``M = (1 << rows) - 1``, built by doubling a one-period pattern, which
+    stays linear in `rows` where the big-int division does not.
+    """
+    half = 1 << i
+    column, span = ((1 << half) - 1) << half, 2 * half
+    while span < rows:
+        column |= column << span
+        span *= 2
+    return column
+
+
+# _BYTE_OF_BIT[j] maps the ASCII digits "0"/"1" to the bytes 0 and 1 << j.
+_BYTE_OF_BIT = [bytes.maketrans(b"01", bytes((0, 1 << j))) for j in range(8)]
+
+
+def _region_values(columns: Sequence[int], rows: int) -> list[int]:
+    """Transpose bit-sliced region lines into one integer per input row.
+
+    The first column is bit 0 of every value. Each group of eight columns is
+    spread one bit per row into one byte per row, so the per-row work is a
+    byte read and, past the first group, one shift and OR, all in C.
+    """
+    values = [0] * rows
+    for g in range(0, len(columns), 8):
+        packed = 0
+        for j, column in enumerate(columns[g : g + 8]):
+            digits = format(column, f"0{rows}b").encode()  # row rows-1 first
+            packed |= int.from_bytes(digits.translate(_BYTE_OF_BIT[j]), "big")
+        group = packed.to_bytes(rows, "little")  # row x at byte x
+        values = list(map(or_, values, map(lshift, group, repeat(g))))
+    return values
+
+
+def truth_table(machine: Machine, max_input_bits: int = EXHAUSTIVE_BOUND) -> FunctionTable:
+    """Materialize the machine's whole function by evaluating every input at once.
+
+    Bit-sliced: each line is one 2^n-bit integer whose bit x is the line's
+    value on input x, so a gate is one big-integer XOR (and AND) over all
+    rows. Also verifies that every line declared restored actually holds its
+    constant at the end; a violation means the interface lies, and the
+    witness is the lowest failing input (first listed line on a tie), as a
+    row-by-row scan would report it.
     """
     iface = machine.iface
     n = iface.input_width
-    if n > max_input_bits:
-        raise ExhaustiveBoundError(
-            f"input region has {n} bits; refusing exhaustive enumeration beyond "
-            f"{max_input_bits} (pass max_input_bits to override)"
-        )
-    restored = iface.restored_lines
-    rows: dict[int, tuple[int, int]] = {}
-    for x in range(1 << n):
-        final = run(machine.circuit, initial_state(machine, x))
-        for line, const in restored:
-            if final.bits[line] != const:
-                raise RestorationViolationError(x, line, const, final.bits[line])
-        rows[x] = (final.value_of(iface.output_lines), final.value_of(iface.garbage_lines))
-    return FunctionTable(n, iface.output_width, rows)
+    check_enumeration_bound(n, max_input_bits)
+    rows = 1 << n
+    full = (1 << rows) - 1
+    lines = [0] * iface.width
+    for i, line in enumerate(iface.input_lines):
+        lines[line] = _input_column(i, rows)
+    for line, const in iface.preset_lines:
+        lines[line] = full if const else 0
+    for gate in machine.circuit.gates:
+        controls = gate.controls
+        if len(controls) == 2:
+            lines[gate.target] ^= lines[controls[0]] & lines[controls[1]]
+        elif controls:
+            lines[gate.target] ^= lines[controls[0]]
+        else:
+            lines[gate.target] ^= full
+
+    violation = None
+    for line, const in iface.restored_lines:
+        mismatch = lines[line] ^ (full if const else 0)
+        if mismatch:
+            x = (mismatch & -mismatch).bit_length() - 1
+            if violation is None or x < violation[0]:
+                violation = (x, line, const)
+    if violation is not None:
+        x, line, const = violation
+        raise RestorationViolationError(x, line, const, 1 - const)
+
+    outputs = _region_values([lines[line] for line in iface.output_lines], rows)
+    garbage = _region_values([lines[line] for line in iface.garbage_lines], rows)
+    return FunctionTable(n, iface.output_width, dict(enumerate(zip(outputs, garbage))))
 
 
 def is_injective(table: FunctionTable) -> bool:

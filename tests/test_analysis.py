@@ -166,6 +166,17 @@ class TestGrowth:
         assert rep.classification == "constant"
         assert all(count == 1 for _, count in rep.points)
 
+    def test_oversized_range_refused_before_enumerating(self, monkeypatch):
+        def enumerate_nothing(*args, **kwargs):
+            raise AssertionError("growth_report enumerated before checking the bound")
+
+        monkeypatch.setattr("revcirc.analysis.truth_table", enumerate_nothing)
+        # ripple_adder(11) has 22 input bits; sizes 2..10 fit the default bound
+        with pytest.raises(ExhaustiveBoundError, match="input region has 22 bits"):
+            growth_report(ripple_adder, range(2, 12))
+        with pytest.raises(ExhaustiveBoundError, match="input region has 9 bits"):
+            growth_report(incrementer, range(2, 10), max_input_bits=8)
+
     def test_insufficient_points_rejected(self):
         with pytest.raises(InsufficientPointsError):
             growth_report(incrementer, [2, 3])

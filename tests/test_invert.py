@@ -1,6 +1,7 @@
 """Inversion by known configurations and by blind guessing."""
 from __future__ import annotations
 
+import dataclasses
 import statistics
 
 import pytest
@@ -17,6 +18,7 @@ from revcirc import (
     incrementer,
     invert_blind,
     invert_with_profile,
+    ripple_adder,
     truth_table,
     zero_garbage_compose,
 )
@@ -81,6 +83,29 @@ class TestInvertWithProfile:
         p = garbage_profile(m)
         with pytest.raises(InvalidCircuitError, match="fit"):
             invert_with_profile(m, 8, p)
+
+    def test_profile_of_other_input_width_rejected(self):
+        # incrementer(3) and ripple_adder(2) both have 1 garbage bit
+        m = ripple_adder(2)
+        p = garbage_profile(incrementer(3))
+        assert p.garbage_bits == m.iface.garbage_width
+        with pytest.raises(InvalidCircuitError, match="3 input and 1 garbage bits"):
+            invert_with_profile(m, 0, p)
+
+    def test_profile_of_other_garbage_width_rejected(self):
+        m = incrementer(4)
+        p = dataclasses.replace(garbage_profile(m), garbage_bits=3)
+        with pytest.raises(InvalidCircuitError, match="4 input and 3 garbage bits"):
+            invert_with_profile(m, 0, p)
+
+    def test_config_too_wide_rejected(self):
+        m = incrementer(4)
+        p = dataclasses.replace(garbage_profile(m), configs=(0, 4))
+        with pytest.raises(InvalidCircuitError, match="configuration 4 does not fit"):
+            invert_with_profile(m, 0, p)  # 0 needs config 3, so config 4 is tried
+        p = dataclasses.replace(p, configs=(-1,))
+        with pytest.raises(InvalidCircuitError, match="configuration -1 does not fit"):
+            invert_with_profile(m, 0, p)
 
     def test_non_injective_machine_flagged(self):
         iface = InterfaceSpec(

@@ -1,10 +1,15 @@
 """Gate semantics, execution, and truth-table extraction."""
 from __future__ import annotations
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import revcirc
 from revcirc import (
     BitState,
     Circuit,
@@ -14,16 +19,22 @@ from revcirc import (
     InvalidCircuitError,
     Machine,
     RestorationViolationError,
+    bennett,
+    decrementer,
     incrementer,
     initial_state,
     is_injective,
     make_gate,
+    parse_circuit,
     ripple_adder,
     run,
     step,
     truth_table,
+    zero_garbage_compose,
 )
-from conftest import circuits
+from conftest import circuits, machines
+
+GOLDEN = Path(__file__).resolve().parent.parent / "golden"
 
 CCX = make_gate("ccx", [0, 1], 2)
 
@@ -166,3 +177,157 @@ class TestIsInjective:
     def test_adder_with_passthrough_injective(self):
         # (a, b) -> (a+b, b): recover a by subtraction, so no collisions
         assert is_injective(truth_table(ripple_adder(2)))
+
+
+def reference_truth_table(machine: Machine) -> FunctionTable:
+    """The literal per-row loop, kept as the oracle for the bit-sliced `truth_table`."""
+    iface = machine.iface
+    rows: dict[int, tuple[int, int]] = {}
+    for x in range(1 << iface.input_width):
+        final = run(machine.circuit, initial_state(machine, x))
+        for line, const in iface.restored_lines:
+            if final.bits[line] != const:
+                raise RestorationViolationError(x, line, const, final.bits[line])
+        rows[x] = (final.value_of(iface.output_lines), final.value_of(iface.garbage_lines))
+    return FunctionTable(iface.input_width, iface.output_width, rows)
+
+
+def outcome(tabulate, machine: Machine):
+    """The table, or the (input_value, line, const, held) of the violation raised."""
+    try:
+        return tabulate(machine)
+    except RestorationViolationError as exc:
+        return (exc.input_value, exc.line, exc.const, exc.held)
+
+
+def library_machine(name: str, n: int) -> Machine:
+    base = {"incr": incrementer, "decr": decrementer, "adder": ripple_adder}
+    if name.startswith("bennett-"):
+        return bennett(library_machine(name.removeprefix("bennett-"), n))
+    if name == "zg-incr":
+        return zero_garbage_compose(incrementer(n), decrementer(n))
+    if name == "zg-decr":
+        return zero_garbage_compose(decrementer(n), incrementer(n))
+    return base[name](n)
+
+
+LIBRARY_SIZES = {"incr": range(2, 11), "decr": range(2, 11), "adder": range(1, 7)}
+LIBRARY_ROSTER = (
+    [(name, n) for name, sizes in LIBRARY_SIZES.items() for n in sizes]
+    + [(f"bennett-{name}", n) for name, sizes in LIBRARY_SIZES.items() for n in sizes]
+    + [(name, n) for name in ("zg-incr", "zg-decr") for n in range(2, 11)]
+)
+
+
+def lying_machine(gates, restored) -> Machine:
+    """Inputs on lines 0 and 1, presets 0 on lines 2 and 3, `restored` declared."""
+    restored_lines = {line for line, _ in restored}
+    iface = InterfaceSpec(
+        width=4,
+        input_lines=(0, 1),
+        preset_lines=((2, 0), (3, 0)),
+        output_lines=(0, 1),
+        garbage_lines=tuple(line for line in (2, 3) if line not in restored_lines),
+        restored_lines=restored,
+    )
+    return Machine(Circuit(4, tuple(gates)), iface)
+
+
+class TestBitSlicedTable:
+    @given(machines())
+    def test_matches_per_row_reference(self, m):
+        # machines() may declare restored lines falsely, so violations occur too
+        assert outcome(truth_table, m) == outcome(reference_truth_table, m)
+
+    @pytest.mark.parametrize("name,n", LIBRARY_ROSTER, ids=[f"{a}({n})" for a, n in LIBRARY_ROSTER])
+    def test_library_roster(self, name, n):
+        m = library_machine(name, n)
+        assert truth_table(m) == reference_truth_table(m)
+
+    @pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.rvc")), ids=lambda p: p.name)
+    def test_golden_files(self, path):
+        m = parse_circuit(path.read_text())
+        assert truth_table(m) == reference_truth_table(m)
+
+    def test_lowest_failing_input_wins(self):
+        # line 2 first fails at input 3 (x0 and x1), line 3 at input 2 (x1)
+        m = lying_machine(
+            [make_gate("ccx", [0, 1], 2), make_gate("cx", [1], 3)], ((2, 0), (3, 0))
+        )
+        with pytest.raises(RestorationViolationError) as exc:
+            truth_table(m)
+        err = exc.value
+        assert (err.input_value, err.line, err.const, err.held) == (2, 3, 0, 1)
+        assert outcome(truth_table, m) == outcome(reference_truth_table, m)
+
+    def test_first_listed_line_wins_a_tie(self):
+        # both lines fail first at input 1; line 3 is listed first
+        m = lying_machine(
+            [make_gate("cx", [0], 2), make_gate("cx", [0], 3)], ((3, 0), (2, 0))
+        )
+        with pytest.raises(RestorationViolationError) as exc:
+            truth_table(m)
+        err = exc.value
+        assert (err.input_value, err.line, err.const, err.held) == (1, 3, 0, 1)
+        assert outcome(truth_table, m) == outcome(reference_truth_table, m)
+
+    def test_no_input_lines_is_one_row(self):
+        iface = InterfaceSpec(
+            width=3,
+            preset_lines=((0, 1), (1, 0), (2, 1)),
+            output_lines=(1,),
+            garbage_lines=(0,),
+            restored_lines=((2, 1),),
+        )
+        m = Machine(Circuit(3, (make_gate("cx", [0], 1),)), iface)
+        t = truth_table(m)
+        assert t.rows == {0: (1, 1)}
+        assert t == reference_truth_table(m)
+        liar = Machine(Circuit(3, (make_gate("x", [], 2),)), iface)
+        assert outcome(truth_table, liar) == (0, 2, 1, 0)
+        assert outcome(truth_table, liar) == outcome(reference_truth_table, liar)
+
+    @pytest.mark.parametrize("region", ["output", "garbage"])
+    def test_empty_region_reads_zero(self, region):
+        lines = {"output_lines": (0, 1, 2), "garbage_lines": ()}
+        if region == "output":
+            lines = {"output_lines": (), "garbage_lines": (0, 1, 2)}
+        iface = InterfaceSpec(width=3, input_lines=(0, 1, 2), **lines)
+        m = Machine(Circuit(3, (make_gate("ccx", [0, 1], 2),)), iface)
+        t = truth_table(m)
+        empty = 0 if region == "output" else 1
+        assert all(row[empty] == 0 for row in t.rows.values())
+        assert {row[1 - empty] for row in t.rows.values()} == set(range(8))
+        assert t == reference_truth_table(m)
+
+    def test_region_wider_than_two_bytes(self):
+        # 19 output lines take three byte groups in the transpose
+        presets = tuple((line, line % 2) for line in range(3, 21))
+        gates = [make_gate("cx", [line % 3], line) for line, _ in presets]
+        gates.append(make_gate("ccx", [0, 1], 20))
+        iface = InterfaceSpec(
+            width=21,
+            input_lines=(0, 1, 2),
+            preset_lines=presets,
+            output_lines=tuple(range(20, 2, -1)) + (0,),
+            garbage_lines=(2, 1),
+        )
+        m = Machine(Circuit(21, tuple(gates)), iface)
+        t = truth_table(m)
+        assert t == reference_truth_table(m)
+        assert max(out for out, _ in t.rows.values()) >= 1 << 16
+
+
+def test_import_does_not_load_numpy():
+    # a heavier import would cost start-up time and memory on every command
+    src = str(Path(revcirc.__file__).resolve().parent.parent)
+    code = "import sys, revcirc, revcirc.cli; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={"PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert out.stdout.strip() == "False"
