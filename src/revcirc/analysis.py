@@ -43,8 +43,11 @@ class GarbageProfile:
     input_bits: int
     garbage_bits: int
     configs: tuple[int, ...]
-    config_count: int
     per_output: dict[int, int] | None = None
+
+    @property
+    def config_count(self) -> int:
+        return len(self.configs)
 
     def digest(self) -> str:
         """Stable hash of the sorted config set, for reproducible reports."""
@@ -159,16 +162,12 @@ def garbage_profile(
     one, encoded as 0), so `config_count` is always at least 1.
     """
     table = truth_table(machine, max_input_bits)
-    configs = sorted({g for _, g in table.rows.values()})
-    per_output = None
-    if is_injective(table):
-        per_output = {out: g for out, g in table.rows.values()}
+    per_output = dict(zip(table.outputs, table.garbage)) if is_injective(table) else None
     return GarbageProfile(
         machine_id=machine_id(machine, label),
         input_bits=table.input_width,
         garbage_bits=machine.iface.garbage_width,
-        configs=tuple(configs),
-        config_count=len(configs),
+        configs=tuple(sorted(set(table.garbage))),
         per_output=per_output,
     )
 

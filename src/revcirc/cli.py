@@ -131,20 +131,21 @@ def table(path: str, as_json: bool) -> None:
     machine = _load(path)
     t = truth_table(machine)
     injective = is_injective(t)
-    rows = [
-        {"input": x, "output": out, "garbage": garbage}
-        for x, (out, garbage) in sorted(t.rows.items())
-    ]
+    rows = enumerate(zip(t.outputs, t.garbage))
     report = {
         "command": "table",
         "input_bits": t.input_width,
         "output_bits": t.output_width,
         "injective": injective,
-        "rows": rows,
     }
-    human = [f"{'x':>6}  {'f(x)':>6}  garbage"]
-    human += [f"{r['input']:>6}  {r['output']:>6}  {_int_to_bits(r['garbage'], machine.iface.garbage_width) or '-'}" for r in rows]
-    human.append(f"injective: {'yes' if injective else 'no'}")
+    human = []
+    if as_json:  # each output mode builds only its own 2^n rows
+        report["rows"] = [{"input": x, "output": out, "garbage": g} for x, (out, g) in rows]
+    else:
+        k = machine.iface.garbage_width
+        human = [f"{'x':>6}  {'f(x)':>6}  garbage"]
+        human += [f"{x:>6}  {out:>6}  {_int_to_bits(g, k) or '-'}" for x, (out, g) in rows]
+        human.append(f"injective: {'yes' if injective else 'no'}")
     _emit(report, as_json, human)
 
 

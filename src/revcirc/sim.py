@@ -84,23 +84,30 @@ class BitState:
 
 @dataclass(frozen=True)
 class FunctionTable:
-    """Exhaustive map of a machine's input value to (output value, garbage value)."""
+    """A machine's whole function as two columns of 2^input_width entries.
+
+    Both are indexed by input value: `outputs[x]` and `garbage[x]` are the
+    output-region and garbage-region values the machine leaves for input x.
+    """
 
     input_width: int
     output_width: int
-    rows: dict[int, tuple[int, int]]
+    outputs: tuple[int, ...]
+    garbage: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.rows) != 1 << self.input_width:
-            raise ValueError(
-                f"table must have {1 << self.input_width} rows, got {len(self.rows)}"
-            )
+        rows = 1 << self.input_width
+        for name in ("outputs", "garbage"):
+            column = tuple(getattr(self, name))
+            object.__setattr__(self, name, column)
+            if len(column) != rows:
+                raise ValueError(f"table must have {rows} rows, {name} has {len(column)}")
 
     def output_of(self, x: int) -> int:
-        return self.rows[x][0]
+        return self.outputs[x]
 
     def garbage_of(self, x: int) -> int:
-        return self.rows[x][1]
+        return self.garbage[x]
 
 
 def step(state: BitState, gate: Gate) -> BitState:
@@ -166,21 +173,21 @@ def _input_column(i: int, rows: int) -> int:
 _BYTE_OF_BIT = [bytes.maketrans(b"01", bytes((0, 1 << j))) for j in range(8)]
 
 
-def _region_values(columns: Sequence[int], rows: int) -> list[int]:
+def _region_values(columns: Sequence[int], rows: int) -> tuple[int, ...]:
     """Transpose bit-sliced region lines into one integer per input row.
 
     The first column is bit 0 of every value. Each group of eight columns is
     spread one bit per row into one byte per row, so the per-row work is a
     byte read and, past the first group, one shift and OR, all in C.
     """
-    values = [0] * rows
+    values = (0,) * rows
     for g in range(0, len(columns), 8):
         packed = 0
         for j, column in enumerate(columns[g : g + 8]):
             digits = format(column, f"0{rows}b").encode()  # row rows-1 first
             packed |= int.from_bytes(digits.translate(_BYTE_OF_BIT[j]), "big")
         group = packed.to_bytes(rows, "little")  # row x at byte x
-        values = list(map(or_, values, map(lshift, group, repeat(g))))
+        values = tuple(map(or_, values, map(lshift, group, repeat(g))))
     return values
 
 
@@ -226,10 +233,9 @@ def truth_table(machine: Machine, max_input_bits: int = EXHAUSTIVE_BOUND) -> Fun
 
     outputs = _region_values([lines[line] for line in iface.output_lines], rows)
     garbage = _region_values([lines[line] for line in iface.garbage_lines], rows)
-    return FunctionTable(n, iface.output_width, dict(enumerate(zip(outputs, garbage))))
+    return FunctionTable(n, iface.output_width, outputs, garbage)
 
 
 def is_injective(table: FunctionTable) -> bool:
     """True iff no two inputs produce the same output-region value."""
-    outputs = [out for out, _ in table.rows.values()]
-    return len(set(outputs)) == len(outputs)
+    return len(set(table.outputs)) == len(table.outputs)

@@ -86,20 +86,14 @@ def bennett(machine: Machine) -> Machine:
 
 def _check_inverse_pair(mf: Machine, mfinv: Machine, max_input_bits: int) -> None:
     """Desk-scale check that the two tables are mutually inverse bijections."""
-    tf = truth_table(mf, max_input_bits)
-    tg = truth_table(mfinv, max_input_bits)
-    for x in range(1 << tf.input_width):
-        y = tf.output_of(x)
-        if tg.output_of(y) != x:
-            raise NotInversePairError(
-                f"second machine maps {y} to {tg.output_of(y)}, expected {x}"
-            )
-    for y in range(1 << tg.input_width):
-        x = tg.output_of(y)
-        if tf.output_of(x) != y:
-            raise NotInversePairError(
-                f"first machine maps {x} to {tf.output_of(x)}, expected {y}"
-            )
+    f = truth_table(mf, max_input_bits).outputs
+    g = truth_table(mfinv, max_input_bits).outputs
+    for x, y in enumerate(f):
+        if g[y] != x:
+            raise NotInversePairError(f"second machine maps {y} to {g[y]}, expected {x}")
+    for y, x in enumerate(g):
+        if f[x] != y:
+            raise NotInversePairError(f"first machine maps {x} to {f[x]}, expected {y}")
 
 
 def zero_garbage_compose(

@@ -2,11 +2,14 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import revcirc
 from revcirc import parse_circuit, truth_table
 from revcirc.cli import main
 
@@ -204,10 +207,13 @@ class TestExitCodes:
 
 def test_module_entry_point_smoke(tmp_path):
     out = tmp_path / "m.rvc"
+    src = str(Path(revcirc.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run(
         [sys.executable, "-m", "revcirc", "gen", "incr", "--bits", "4", "-o", str(out)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "wrote" in proc.stdout
@@ -215,6 +221,7 @@ def test_module_entry_point_smoke(tmp_path):
         [sys.executable, "-m", "revcirc", "sim", "-c", str(out), "--int", "9"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "output: 10" in proc.stdout

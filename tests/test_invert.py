@@ -63,7 +63,7 @@ class TestInvertWithProfile:
         p = garbage_profile(m)
         r = invert_with_profile(m, 6, p)
         t = truth_table(m)
-        assert t.rows[r.input_value] == (6, r.matched_config)
+        assert (t.outputs[r.input_value], t.garbage[r.input_value]) == (6, r.matched_config)
 
     def test_value_out_of_image_rejected(self):
         # output region wider than the image: (x) -> (x, 0) never hits odd top bit

@@ -53,7 +53,7 @@ class TestIncrementer:
 
     def test_no_carry_from_even_input(self):
         t = truth_table(incrementer(3))
-        assert t.rows[0] == (1, 0)
+        assert (t.outputs[0], t.garbage[0]) == (1, 0)
 
     def test_width_and_layout(self):
         m = incrementer(5)
@@ -102,7 +102,7 @@ class TestDecrementer:
             complement = (1 << n) - 1 - x
             expected = carry_chain(complement, n)
             assert t.garbage_of(x) == expected
-        assert t.rows[1] == (0, carry_chain(6, n))
+        assert (t.outputs[1], t.garbage[1]) == (0, carry_chain(6, n))
 
     def test_too_small_rejected(self):
         with pytest.raises(InvalidCircuitError, match="at least 2"):

@@ -1,6 +1,7 @@
 """Gate semantics, execution, and truth-table extraction."""
 from __future__ import annotations
 
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 import revcirc
 from revcirc import (
+    EXHAUSTIVE_BOUND,
     BitState,
     Circuit,
     ExhaustiveBoundError,
@@ -129,9 +131,9 @@ class TestBitState:
 class TestTruthTable:
     def test_incrementer_rows(self):
         t = truth_table(incrementer(3))
-        assert t.rows[7] == (0, 1)  # wraps, full carry chain
-        assert t.rows[0] == (1, 0)  # no carry out of bit 0
-        assert len(t.rows) == 8
+        assert (t.outputs[7], t.garbage[7]) == (0, 1)  # wraps, full carry chain
+        assert (t.outputs[0], t.garbage[0]) == (1, 0)  # no carry out of bit 0
+        assert len(t.outputs) == len(t.garbage) == 8
 
     def test_matches_integer_oracle_up_to_n10(self):
         for n in (2, 5, 10):
@@ -158,8 +160,10 @@ class TestTruthTable:
         assert (err.input_value, err.line, err.const, err.held) == (1, 1, 0, 1)
 
     def test_row_count_invariant(self):
-        with pytest.raises(ValueError, match="rows"):
-            FunctionTable(2, 1, {0: (0, 0)})
+        with pytest.raises(ValueError, match="4 rows, outputs has 1"):
+            FunctionTable(2, 1, (0,), (0, 0, 0, 0))
+        with pytest.raises(ValueError, match="4 rows, garbage has 3"):
+            FunctionTable(2, 1, (0, 1, 0, 1), (0, 0, 0))
 
 
 class TestIsInjective:
@@ -182,14 +186,16 @@ class TestIsInjective:
 def reference_truth_table(machine: Machine) -> FunctionTable:
     """The literal per-row loop, kept as the oracle for the bit-sliced `truth_table`."""
     iface = machine.iface
-    rows: dict[int, tuple[int, int]] = {}
+    outputs: list[int] = []
+    garbage: list[int] = []
     for x in range(1 << iface.input_width):
         final = run(machine.circuit, initial_state(machine, x))
         for line, const in iface.restored_lines:
             if final.bits[line] != const:
                 raise RestorationViolationError(x, line, const, final.bits[line])
-        rows[x] = (final.value_of(iface.output_lines), final.value_of(iface.garbage_lines))
-    return FunctionTable(iface.input_width, iface.output_width, rows)
+        outputs.append(final.value_of(iface.output_lines))
+        garbage.append(final.value_of(iface.garbage_lines))
+    return FunctionTable(iface.input_width, iface.output_width, outputs, garbage)
 
 
 def outcome(tabulate, machine: Machine):
@@ -281,7 +287,7 @@ class TestBitSlicedTable:
         )
         m = Machine(Circuit(3, (make_gate("cx", [0], 1),)), iface)
         t = truth_table(m)
-        assert t.rows == {0: (1, 1)}
+        assert (t.outputs, t.garbage) == ((1,), (1,))
         assert t == reference_truth_table(m)
         liar = Machine(Circuit(3, (make_gate("x", [], 2),)), iface)
         assert outcome(truth_table, liar) == (0, 2, 1, 0)
@@ -295,9 +301,9 @@ class TestBitSlicedTable:
         iface = InterfaceSpec(width=3, input_lines=(0, 1, 2), **lines)
         m = Machine(Circuit(3, (make_gate("ccx", [0, 1], 2),)), iface)
         t = truth_table(m)
-        empty = 0 if region == "output" else 1
-        assert all(row[empty] == 0 for row in t.rows.values())
-        assert {row[1 - empty] for row in t.rows.values()} == set(range(8))
+        empty, full = (t.outputs, t.garbage) if region == "output" else (t.garbage, t.outputs)
+        assert empty == (0,) * 8
+        assert set(full) == set(range(8))
         assert t == reference_truth_table(m)
 
     def test_region_wider_than_two_bytes(self):
@@ -315,7 +321,19 @@ class TestBitSlicedTable:
         m = Machine(Circuit(21, tuple(gates)), iface)
         t = truth_table(m)
         assert t == reference_truth_table(m)
-        assert max(out for out, _ in t.rows.values()) >= 1 << 16
+        assert max(t.outputs) >= 1 << 16
+
+    def test_spot_check_at_the_bound(self):
+        # the differential tests stop at n = 10; this reaches the default bound
+        n = EXHAUSTIVE_BOUND
+        m = incrementer(n)
+        t = truth_table(m)
+        assert len(t.outputs) == len(t.garbage) == 1 << n
+        rng = random.Random(2026)
+        for x in [0, (1 << n) - 1] + [rng.randrange(1 << n) for _ in range(64)]:
+            final = run(m.circuit, initial_state(m, x))
+            expected = (final.value_of(m.iface.output_lines), final.value_of(m.iface.garbage_lines))
+            assert (t.outputs[x], t.garbage[x]) == expected, x
 
 
 def test_import_does_not_load_numpy():
