@@ -11,17 +11,33 @@ garbage region. Two strategies for supplying it:
 
 A guess is accepted exactly when the backward run lands every preset line on
 its declared constant; reversibility then guarantees the recovered input
-really maps to the requested output, and both inverters re-run the machine
-forward to confirm it before returning.
+really maps to the requested output.
+
+Both inverters run their guesses backward in blocks, bit-sliced as
+`truth_table` runs inputs forward: each line is one integer with a bit per
+guess, so a gate costs one big-integer operation for the whole block. The
+first accepted guess is the lowest set bit of the block's preset-line match,
+so trials are still counted one guess at a time, and the blind draws are the
+same seeded `getrandbits(k)` sequence a guess-by-guess search would make.
+Only the accepted guess runs on single states: backward, and forward again
+to confirm it before returning.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import islice, repeat
+from typing import Iterator
 
 from .ir import InvalidCircuitError, Machine
-from .sim import EXHAUSTIVE_BOUND, BitState, ExhaustiveBoundError, run
+from .sim import EXHAUSTIVE_BOUND, BitState, ExhaustiveBoundError, _apply_gates, _region_columns, run
 from .analysis import GarbageProfile
+
+# A block of guesses holds each line as one integer with a bit per guess, and
+# the guesses as integers and byte strings, one of each per guess; the caps
+# keep each part near 1 MiB.
+_BLOCK_BITS = 1 << 23
+_BLOCK_GUESSES = 1 << 14
 
 
 class InversionError(Exception):
@@ -75,18 +91,65 @@ def _check_output(machine: Machine, y: int) -> None:
         raise InvalidCircuitError(f"output value {y} does not fit the {width}-bit output region")
 
 
-def _trial(machine: Machine, y: int, config: int) -> BitState | None:
-    """Run backward from output `y` and garbage `config`; the start state if it fits.
+def _block_size(machine: Machine) -> int:
+    """Guesses run backward together: max(64, 2^k), within the memory caps."""
+    iface = machine.iface
+    return min(max(64, 1 << iface.garbage_width), max(1, _BLOCK_BITS // iface.width), _BLOCK_GUESSES)
 
-    It fits when every preset line lands on its constant. A fitting start is
-    confirmed by one forward run before it is returned.
+
+def _first_fit(machine: Machine, y: int, configs: list[int]) -> int | None:
+    """Index of the first config whose backward run lands every preset line on its constant.
+
+    Bit-sliced over the block: bit j of each line is its value in guess j.
+    """
+    iface = machine.iface
+    full = (1 << len(configs)) - 1
+    lines = [0] * iface.width
+    for i, line in enumerate(iface.output_lines):
+        lines[line] = full if y >> i & 1 else 0
+    for line, column in zip(iface.garbage_lines, _region_columns(configs, iface.garbage_width)):
+        lines[line] = column
+    for line, const in iface.restored_lines:
+        lines[line] = full if const else 0
+    _apply_gates(lines, reversed(machine.circuit.gates), full)
+    fits = full
+    for line, const in iface.preset_lines:
+        fits &= lines[line] if const else ~lines[line]
+    return (fits & -fits).bit_length() - 1 if fits else None
+
+
+def _search(
+    machine: Machine, y: int, guesses: Iterator[int], budget: int
+) -> tuple[int, int, BitState] | None:
+    """The first of `budget` guesses that fits: its 1-based trial number, config and start state.
+
+    Guesses are taken from `guesses` in order, a block at a time; the
+    accepted one is confirmed by `_trial`.
+    """
+    block = _block_size(machine)
+    done = 0
+    while done < budget:
+        configs = list(islice(guesses, min(block, budget - done)))
+        hit = _first_fit(machine, y, configs)
+        if hit is not None:
+            return done + hit + 1, configs[hit], _trial(machine, y, configs[hit])
+        done += len(configs)
+    return None
+
+
+def _trial(machine: Machine, y: int, config: int) -> BitState:
+    """Confirm an accepted guess on single states; the start state it runs back to.
+
+    The backward run from output `y` and garbage `config` must land every
+    preset line on its constant, and the forward run from that start must
+    give back `y` and `config`.
     """
     iface = machine.iface
     start = run(machine.circuit, _final_state(machine, y, config), "backward")
-    if any(start.bits[line] != const for line, const in iface.preset_lines):
-        return None
     final = run(machine.circuit, start)
-    if final.value_of(iface.output_lines) != y or final.value_of(iface.garbage_lines) != config:
+    if any(start.bits[line] != const for line, const in iface.preset_lines) or (
+        final.value_of(iface.output_lines) != y or final.value_of(iface.garbage_lines) != config
+    ):
         raise InversionError(
             "forward re-run did not reproduce the requested output; "
             "the machine or its interface is inconsistent"
@@ -112,16 +175,22 @@ def invert_with_profile(machine: Machine, y: int, profile: GarbageProfile) -> In
         )
     if not profile.configs:
         raise InvalidCircuitError("profile has no garbage configurations")
-    for trials, config in enumerate(profile.configs, start=1):
-        if not 0 <= config < (1 << iface.garbage_width):
-            raise InvalidCircuitError(
-                f"profile configuration {config} does not fit the "
-                f"{iface.garbage_width}-bit garbage region"
-            )
-        start = _trial(machine, y, config)
-        if start is not None:
-            input_value = start.value_of(iface.input_lines)
-            return InversionResult(input_value, trials, "table", config, profile.per_output is not None)
+    configs = profile.configs
+    # Configs before the first out-of-range one are tried; it is refused only if none fits.
+    in_range = next(
+        (j for j, config in enumerate(configs) if not 0 <= config < (1 << iface.garbage_width)),
+        len(configs),
+    )
+    hit = _search(machine, y, iter(configs), in_range)
+    if hit is not None:
+        trials, config, start = hit
+        input_value = start.value_of(iface.input_lines)
+        return InversionResult(input_value, trials, "table", config, profile.per_output is not None)
+    if in_range < len(configs):
+        raise InvalidCircuitError(
+            f"profile configuration {configs[in_range]} does not fit the "
+            f"{iface.garbage_width}-bit garbage region"
+        )
     raise NoMatchingConfigError(
         f"no garbage configuration matches output {y}: it is not in the machine's image"
     )
@@ -151,11 +220,10 @@ def invert_blind(
     if max_trials < 1:
         raise ValueError("max_trials must be at least 1")
     rng = random.Random(seed)
-    for trial in range(1, max_trials + 1):
-        config = rng.getrandbits(k) if k else 0
-        start = _trial(machine, y, config)
-        if start is not None:
-            return InversionResult(start.value_of(machine.iface.input_lines), trial, "blind", config)
+    hit = _search(machine, y, map(rng.getrandbits, repeat(k)), max_trials)
+    if hit is not None:
+        trials, config, start = hit
+        return InversionResult(start.value_of(machine.iface.input_lines), trials, "blind", config)
     raise TrialBudgetExceededError(
         f"no consistent garbage string found for output {y} in {max_trials} trials "
         f"(k={k} garbage bits; expected cost grows as 2^k)",

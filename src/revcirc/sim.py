@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import repeat
 from operator import lshift, or_
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .ir import Circuit, Gate, InvalidCircuitError, Machine
 
@@ -180,15 +180,55 @@ def _region_values(columns: Sequence[int], rows: int) -> tuple[int, ...]:
     spread one bit per row into one byte per row, so the per-row work is a
     byte read and, past the first group, one shift and OR, all in C.
     """
-    values = (0,) * rows
+    if not columns:
+        return (0,) * rows
+    values: tuple[int, ...] = ()
     for g in range(0, len(columns), 8):
         packed = 0
         for j, column in enumerate(columns[g : g + 8]):
             digits = format(column, f"0{rows}b").encode()  # row rows-1 first
             packed |= int.from_bytes(digits.translate(_BYTE_OF_BIT[j]), "big")
         group = packed.to_bytes(rows, "little")  # row x at byte x
-        values = tuple(map(or_, values, map(lshift, group, repeat(g))))
+        values = tuple(map(or_, values, map(lshift, group, repeat(g)))) if g else tuple(group)
     return values
+
+
+# _DIGIT_OF_BIT[j] maps each byte to the ASCII digit of its bit j: runs of
+# 2^j zeros and 2^j ones, the pattern bit j takes as the byte counts up.
+_DIGIT_OF_BIT = [(b"0" * (1 << j) + b"1" * (1 << j)) * (128 >> j) for j in range(8)]
+
+
+def _region_columns(values: Sequence[int], width: int) -> list[int]:
+    """Bit-slice one `width`-bit integer per row into `width` columns.
+
+    The inverse of `_region_values`: bit x of column j is bit j of
+    `values[x]`. The values are written out as fixed-size little-endian
+    byte strings, last row first; byte g of each, read with a stride, is one
+    byte per row, and each of its eight bits is read as a digit string.
+    """
+    size = (width + 7) // 8
+    raw = b"".join(map(int.to_bytes, reversed(values), repeat(size), repeat("little")))
+    columns: list[int] = []
+    for g in range(0, width, 8):
+        group = raw[g // 8 :: size]
+        columns.extend(int(group.translate(_DIGIT_OF_BIT[j]), 2) for j in range(min(8, width - g)))
+    return columns
+
+
+def _apply_gates(lines: list[int], gates: Iterable[Gate], full: int) -> None:
+    """Apply `gates` in order to bit-sliced `lines`, in place.
+
+    Each line is one integer with a bit per evaluated state, and `full` has
+    every one of those bits set; a gate is one XOR (and AND) over all of them.
+    """
+    for gate in gates:
+        controls = gate.controls
+        if len(controls) == 2:
+            lines[gate.target] ^= lines[controls[0]] & lines[controls[1]]
+        elif controls:
+            lines[gate.target] ^= lines[controls[0]]
+        else:
+            lines[gate.target] ^= full
 
 
 def truth_table(machine: Machine, max_input_bits: int = EXHAUSTIVE_BOUND) -> FunctionTable:
@@ -211,14 +251,7 @@ def truth_table(machine: Machine, max_input_bits: int = EXHAUSTIVE_BOUND) -> Fun
         lines[line] = _input_column(i, rows)
     for line, const in iface.preset_lines:
         lines[line] = full if const else 0
-    for gate in machine.circuit.gates:
-        controls = gate.controls
-        if len(controls) == 2:
-            lines[gate.target] ^= lines[controls[0]] & lines[controls[1]]
-        elif controls:
-            lines[gate.target] ^= lines[controls[0]]
-        else:
-            lines[gate.target] ^= full
+    _apply_gates(lines, machine.circuit.gates, full)
 
     violation = None
     for line, const in iface.restored_lines:

@@ -85,15 +85,18 @@ def bennett(machine: Machine) -> Machine:
 
 
 def _check_inverse_pair(mf: Machine, mfinv: Machine, max_input_bits: int) -> None:
-    """Desk-scale check that the two tables are mutually inverse bijections."""
+    """Desk-scale check that the two tables are mutually inverse bijections.
+
+    Both machines map n bits to n bits (`zero_garbage_compose` checks the
+    widths first), so g(f(x)) = x for every x already makes f injective on
+    2^n values, hence a bijection, and g its inverse; f(g(y)) = y follows
+    and is not checked again.
+    """
     f = truth_table(mf, max_input_bits).outputs
     g = truth_table(mfinv, max_input_bits).outputs
     for x, y in enumerate(f):
         if g[y] != x:
             raise NotInversePairError(f"second machine maps {y} to {g[y]}, expected {x}")
-    for y, x in enumerate(g):
-        if f[x] != y:
-            raise NotInversePairError(f"first machine maps {x} to {f[x]}, expected {y}")
 
 
 def zero_garbage_compose(

@@ -2,14 +2,22 @@
 from __future__ import annotations
 
 import dataclasses
+import random
 import statistics
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from revcirc import (
+    BitState,
     Circuit,
+    GarbageProfile,
     InterfaceSpec,
     InvalidCircuitError,
+    InversionError,
+    InversionResult,
     Machine,
     NoMatchingConfigError,
     TrialBudgetExceededError,
@@ -18,10 +26,83 @@ from revcirc import (
     incrementer,
     invert_blind,
     invert_with_profile,
+    make_gate,
     ripple_adder,
+    run,
     truth_table,
     zero_garbage_compose,
 )
+from revcirc import invert
+
+from conftest import machines
+
+
+def reference_trial(machine: Machine, y: int, config: int) -> BitState | None:
+    """The per-trial body: the start state if the backward run fits, confirmed forward."""
+    iface = machine.iface
+    state = BitState.zeros(iface.width).with_value(iface.output_lines, y)
+    state = state.with_value(iface.garbage_lines, config)
+    for line, const in iface.restored_lines:
+        state = state.with_value([line], const)
+    start = run(machine.circuit, state, "backward")
+    if any(start.bits[line] != const for line, const in iface.preset_lines):
+        return None
+    final = run(machine.circuit, start)
+    if final.value_of(iface.output_lines) != y or final.value_of(iface.garbage_lines) != config:
+        raise InversionError(
+            "forward re-run did not reproduce the requested output; "
+            "the machine or its interface is inconsistent"
+        )
+    return start
+
+
+def reference_invert_blind(machine: Machine, y: int, seed: int, max_trials: int | None = None):
+    """The guess-by-guess loop, kept as the oracle for the block search in `invert_blind`."""
+    k = machine.iface.garbage_width
+    if max_trials is None:
+        max_trials = 64 << k
+    rng = random.Random(seed)
+    for trial in range(1, max_trials + 1):
+        config = rng.getrandbits(k) if k else 0
+        start = reference_trial(machine, y, config)
+        if start is not None:
+            return InversionResult(start.value_of(machine.iface.input_lines), trial, "blind", config)
+    raise TrialBudgetExceededError(
+        f"no consistent garbage string found for output {y} in {max_trials} trials "
+        f"(k={k} garbage bits; expected cost grows as 2^k)",
+        trials=max_trials,
+    )
+
+
+def reference_invert_with_profile(machine: Machine, y: int, profile: GarbageProfile):
+    """The config-by-config loop, kept as the oracle for `invert_with_profile`'s search."""
+    iface = machine.iface
+    for trials, config in enumerate(profile.configs, start=1):
+        if not 0 <= config < (1 << iface.garbage_width):
+            raise InvalidCircuitError(
+                f"profile configuration {config} does not fit the "
+                f"{iface.garbage_width}-bit garbage region"
+            )
+        start = reference_trial(machine, y, config)
+        if start is not None:
+            input_value = start.value_of(iface.input_lines)
+            return InversionResult(input_value, trials, "table", config, profile.per_output is not None)
+    raise NoMatchingConfigError(
+        f"no garbage configuration matches output {y}: it is not in the machine's image"
+    )
+
+
+def outcome(inverter, *args):
+    """The result, or the type, message and trial count of the error raised."""
+    try:
+        return inverter(*args)
+    except (InversionError, InvalidCircuitError) as exc:
+        return type(exc), str(exc), getattr(exc, "trials", None)
+
+
+def block_edges(machine: Machine) -> list[int]:
+    block = invert._block_size(machine)
+    return sorted({1, 63, 64, 65, block - 1, block, block + 1})
 
 
 class TestInvertWithProfile:
@@ -160,3 +241,100 @@ class TestInvertBlind:
             r = invert_blind(m, 9, seed=seed)
             assert t.output_of(r.input_value) == 9
             assert r.input_value == 8
+
+
+class TestBlockSearch:
+    @settings(max_examples=300, deadline=None)
+    @given(machines(), st.data())
+    def test_blind_matches_per_trial_reference(self, m, data):
+        y = data.draw(st.integers(0, (1 << m.iface.output_width) - 1))
+        seed = data.draw(st.integers(0, 2**64))
+        max_trials = data.draw(st.sampled_from([None, *block_edges(m)]))
+        assert outcome(invert_blind, m, y, seed, max_trials) == outcome(
+            reference_invert_blind, m, y, seed, max_trials
+        )
+
+    @pytest.mark.parametrize(
+        "m,ys",
+        [(incrementer(10), (0, 1, 513)), (ripple_adder(9), (0, 300, 262143)), (decrementer(5), (0, 31))],
+        ids=["incrementer(10)", "ripple_adder(9)", "decrementer(5)"],
+    )
+    def test_blind_block_edges_match_reference(self, m, ys):
+        assert invert._block_size(m) == max(64, 1 << m.iface.garbage_width)
+        for max_trials in block_edges(m):
+            for seed in range(20):
+                y = ys[seed % len(ys)]
+                assert outcome(invert_blind, m, y, seed, max_trials) == outcome(
+                    reference_invert_blind, m, y, seed, max_trials
+                ), (max_trials, seed)
+
+    # ripple_adder(6) has 17 lines: 51 bits of lines per block is 3 guesses
+    @pytest.mark.parametrize("cap,value,block", [("_BLOCK_BITS", 51, 3), ("_BLOCK_GUESSES", 5, 5)])
+    def test_capped_blocks_match_reference(self, monkeypatch, cap, value, block):
+        m = ripple_adder(6)
+        monkeypatch.setattr(invert, cap, value)
+        assert invert._block_size(m) == block
+        p = garbage_profile(m)
+        for seed in range(40):
+            y = (seed * 37) % (1 << m.iface.output_width)
+            for max_trials in (None, 1, 2, 5, 6, 7, 31):
+                assert outcome(invert_blind, m, y, seed, max_trials) == outcome(
+                    reference_invert_blind, m, y, seed, max_trials
+                )
+            assert outcome(invert_with_profile, m, y, p) == outcome(reference_invert_with_profile, m, y, p)
+
+    @settings(max_examples=300, deadline=None)
+    @given(machines(), st.data())
+    def test_table_method_matches_reference(self, m, data):
+        iface = m.iface
+        k = iface.garbage_width
+        y = data.draw(st.integers(0, (1 << iface.output_width) - 1))
+        configs = data.draw(st.lists(st.integers(-2, (1 << k) + 1), min_size=1, max_size=80))
+        per_output = data.draw(st.sampled_from([None, {}]))
+        p = GarbageProfile("m", iface.input_width, k, tuple(configs), per_output)
+        assert outcome(invert_with_profile, m, y, p) == outcome(reference_invert_with_profile, m, y, p)
+
+    def test_single_state_runs_only_confirm(self, monkeypatch):
+        calls = []
+
+        def counting_run(*args, **kwargs):
+            calls.append(args[2] if len(args) > 2 else "forward")
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(invert, "run", counting_run)
+        m = ripple_adder(9)
+        r = invert_blind(m, 5, seed=3)
+        assert r.trials > 1
+        assert calls == ["backward", "forward"]
+        calls.clear()
+        with pytest.raises(TrialBudgetExceededError):
+            invert_blind(m, 5, seed=3, max_trials=r.trials - 1)
+        assert calls == []
+
+    @pytest.mark.parametrize("width", [40, 1024])
+    def test_k20_search_memory_is_bounded(self, width):
+        # 20 input lines double as garbage; line 20 + i gets a copy of input i,
+        # and the last line is an untouched preset the output claims is 1,
+        # so no guess ever fits and every block of the budget is run.
+        k = 20
+        gates = tuple(make_gate("cx", [i], k + i) for i in range(k))
+        iface = InterfaceSpec(
+            width=width,
+            input_lines=tuple(range(k)),
+            preset_lines=tuple((line, 0) for line in range(k, width)),
+            output_lines=tuple(range(k, width)),
+            garbage_lines=tuple(range(k)),
+        )
+        m = Machine(Circuit(width, gates), iface)
+        block = invert._block_size(m)
+        assert block < 1 << k
+        y = 1 << (width - k - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TrialBudgetExceededError) as exc:
+                invert_blind(m, y, seed=0, max_trials=3 * block)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc.value.trials == 3 * block
+        assert peak < 4 << 20
