@@ -13,31 +13,28 @@ A guess is accepted exactly when the backward run lands every preset line on
 its declared constant; reversibility then guarantees the recovered input
 really maps to the requested output.
 
-Both inverters run their guesses backward in blocks, bit-sliced as
-`truth_table` runs inputs forward: each line is one integer with a bit per
-guess, so a gate costs one big-integer operation for the whole block. The
-first accepted guess is the lowest set bit of the block's preset-line match,
-so trials are still counted one guess at a time, and the blind draws are the
-same seeded `getrandbits(k)` sequence a guess-by-guess search would make.
-Only the accepted guess runs on single states: backward, and forward again
-to confirm it before returning.
+Both inverters test guesses by bit-sliced backward runs, as `truth_table`
+runs inputs forward: each line is one integer with a bit per guess, so a gate
+costs one big-integer operation for all of them. `invert_blind` runs all 2^k
+garbage values backward once, in chunks, for the set that fits, then reads
+the seeded `getrandbits(k)` draws against it: trials still count single
+guesses, and an empty set ends the search before any draw. Only the accepted
+guess runs on single states: backward, and forward again to confirm it.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import islice, repeat
-from typing import Iterator
+from itertools import repeat
 
 from .ir import InvalidCircuitError, Machine
-from .sim import EXHAUSTIVE_BOUND, BitState, ExhaustiveBoundError, _apply_gates, _region_columns, run
+from .sim import EXHAUSTIVE_BOUND, BitState, ExhaustiveBoundError, run
+from .sim import _apply_gates, _input_column, _region_columns
 from .analysis import GarbageProfile
 
-# A block of guesses holds each line as one integer with a bit per guess, and
-# the guesses as integers and byte strings, one of each per guess; the caps
-# keep each part near 1 MiB.
-_BLOCK_BITS = 1 << 23
-_BLOCK_GUESSES = 1 << 14
+# A backward pass covers at most 2^14 garbage values and a scan at most 2^14
+# draws: a line is then at most 2 KiB, and one scan's draws about 0.6 MiB.
+_CHUNK_BITS = 14
 
 
 class InversionError(Exception):
@@ -91,23 +88,13 @@ def _check_output(machine: Machine, y: int) -> None:
         raise InvalidCircuitError(f"output value {y} does not fit the {width}-bit output region")
 
 
-def _block_size(machine: Machine) -> int:
-    """Guesses run backward together: max(64, 2^k), within the memory caps."""
+def _fits(machine: Machine, y: int, garbage_columns: list[int], full: int) -> int:
+    """Bit j is set iff guess j (bit j of each garbage column) runs back onto every preset constant."""
     iface = machine.iface
-    return min(max(64, 1 << iface.garbage_width), max(1, _BLOCK_BITS // iface.width), _BLOCK_GUESSES)
-
-
-def _first_fit(machine: Machine, y: int, configs: list[int]) -> int | None:
-    """Index of the first config whose backward run lands every preset line on its constant.
-
-    Bit-sliced over the block: bit j of each line is its value in guess j.
-    """
-    iface = machine.iface
-    full = (1 << len(configs)) - 1
     lines = [0] * iface.width
     for i, line in enumerate(iface.output_lines):
         lines[line] = full if y >> i & 1 else 0
-    for line, column in zip(iface.garbage_lines, _region_columns(configs, iface.garbage_width)):
+    for line, column in zip(iface.garbage_lines, garbage_columns):
         lines[line] = column
     for line, const in iface.restored_lines:
         lines[line] = full if const else 0
@@ -115,26 +102,25 @@ def _first_fit(machine: Machine, y: int, configs: list[int]) -> int | None:
     fits = full
     for line, const in iface.preset_lines:
         fits &= lines[line] if const else ~lines[line]
-    return (fits & -fits).bit_length() - 1 if fits else None
+    return fits
 
 
-def _search(
-    machine: Machine, y: int, guesses: Iterator[int], budget: int
-) -> tuple[int, int, BitState] | None:
-    """The first of `budget` guesses that fits: its 1-based trial number, config and start state.
+def _fit_table(machine: Machine, y: int) -> str:
+    """Character g is "1" iff garbage value g fits output `y`, for all 2^k values.
 
-    Guesses are taken from `guesses` in order, a block at a time; the
-    accepted one is confirmed by `_trial`.
+    They run backward in chunks of 2^min(k, _CHUNK_BITS) values: the low garbage
+    lines are input columns over the chunk, and its index sets the lines above.
     """
-    block = _block_size(machine)
-    done = 0
-    while done < budget:
-        configs = list(islice(guesses, min(block, budget - done)))
-        hit = _first_fit(machine, y, configs)
-        if hit is not None:
-            return done + hit + 1, configs[hit], _trial(machine, y, configs[hit])
-        done += len(configs)
-    return None
+    k = machine.iface.garbage_width
+    bits = min(k, _CHUNK_BITS)
+    size = 1 << bits
+    full = (1 << size) - 1
+    low = [_input_column(i, size) for i in range(bits)]
+    pieces = []
+    for chunk in range(1 << (k - bits)):
+        high = [full if chunk >> i & 1 else 0 for i in range(k - bits)]
+        pieces.append(format(_fits(machine, y, low + high, full), f"0{size}b")[::-1])
+    return "".join(pieces)
 
 
 def _trial(machine: Machine, y: int, config: int) -> BitState:
@@ -181,11 +167,16 @@ def invert_with_profile(machine: Machine, y: int, profile: GarbageProfile) -> In
         (j for j, config in enumerate(configs) if not 0 <= config < (1 << iface.garbage_width)),
         len(configs),
     )
-    hit = _search(machine, y, iter(configs), in_range)
-    if hit is not None:
-        trials, config, start = hit
-        input_value = start.value_of(iface.input_lines)
-        return InversionResult(input_value, trials, "table", config, profile.per_output is not None)
+    size = 1 << _CHUNK_BITS
+    for done in range(0, in_range, size):
+        chunk = configs[done : min(done + size, in_range)]
+        fits = _fits(machine, y, _region_columns(chunk, iface.garbage_width), (1 << len(chunk)) - 1)
+        if fits:
+            hit = (fits & -fits).bit_length() - 1
+            start = _trial(machine, y, chunk[hit])
+            input_value = start.value_of(iface.input_lines)
+            unique = profile.per_output is not None
+            return InversionResult(input_value, done + hit + 1, "table", chunk[hit], unique)
     if in_range < len(configs):
         raise InvalidCircuitError(
             f"profile configuration {configs[in_range]} does not fit the "
@@ -219,11 +210,17 @@ def invert_blind(
         max_trials = 64 << k
     if max_trials < 1:
         raise ValueError("max_trials must be at least 1")
-    rng = random.Random(seed)
-    hit = _search(machine, y, map(rng.getrandbits, repeat(k)), max_trials)
-    if hit is not None:
-        trials, config, start = hit
-        return InversionResult(start.value_of(machine.iface.input_lines), trials, "blind", config)
+    fit = _fit_table(machine, y)
+    size = min(len(fit), 1 << _CHUNK_BITS)
+    if "1" in fit:
+        rng = random.Random(seed)
+        for done in range(0, max_trials, size):
+            draws = list(map(rng.getrandbits, repeat(k, min(size, max_trials - done))))
+            hit = "".join(map(fit.__getitem__, draws)).find("1")
+            if hit >= 0:
+                start = _trial(machine, y, draws[hit])
+                input_value = start.value_of(machine.iface.input_lines)
+                return InversionResult(input_value, done + hit + 1, "blind", draws[hit])
     raise TrialBudgetExceededError(
         f"no consistent garbage string found for output {y} in {max_trials} trials "
         f"(k={k} garbage bits; expected cost grows as 2^k)",

@@ -159,6 +159,17 @@ class TestInvert:
         else:
             pytest.fail("every seed guessed right on the first try")
 
+    def test_exhaustion_outside_image_answers_at_once(self, capsys, tmp_path):
+        # no garbage and an output line preset at 0: output 1 is outside the image
+        path = tmp_path / "zero.rvc"
+        path.write_text("width 1\npreset 0=0\noutput 0\n")
+        code = main(["invert", "-c", str(path), "--int", "1", "--blind", "--max-trials", "1000000000000"])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: no consistent garbage string found for output 1 in 1000000000000 trials "
+            "(k=0 garbage bits; expected cost grows as 2^k)\n"
+        )
+
     def test_human_trial_sequence(self, capsys, incr3):
         code, out = run_cli(capsys, "invert", "-c", str(incr3), "--int", "0")
         assert code == 0

@@ -50,33 +50,55 @@ def test_golden_zero_garbage_machine_has_one_config():
     assert garbage_profile(machine).config_count == 1
 
 
-def _console_blocks(markdown: str) -> list[tuple[str, list[str]]]:
-    """(command, output lines) for each ```console block with a $ command."""
-    blocks = []
+def _console_commands(markdown: str) -> list[tuple[str, list[str]]]:
+    """(command, output lines) for each `$ ` line of the ```console blocks.
+
+    A command's output runs to the next `$ ` line or the end of its block;
+    blank lines just before the next command only separate the two.
+    """
+    commands: list[tuple[str, list[str]]] = []
     lines = markdown.splitlines()
     i = 0
     while i < len(lines):
         if lines[i].strip() == "```console":
             j = i + 1
-            body = []
+            assert lines[j].startswith("$ ")
             while lines[j].strip() != "```":
-                body.append(lines[j])
+                if lines[j].startswith("$ "):
+                    commands.append((lines[j][2:], []))
+                else:
+                    commands[-1][1].append(lines[j])
                 j += 1
-            assert body and body[0].startswith("$ ")
-            blocks.append((body[0][2:], body[1:]))
             i = j
         i += 1
-    return blocks
+    for _, output in commands:
+        while output and not output[-1]:
+            output.pop()
+    return commands
+
+
+def _check_transcript(commands: list[tuple[str, list[str]]], capsys) -> None:
+    """Each command exits 0 and prints exactly its transcript lines."""
+    for command, expected in commands:
+        argv = command.split()
+        assert argv[0] == "revcirc"
+        assert main(argv[1:]) == 0, command
+        assert capsys.readouterr().out == "".join(line + "\n" for line in expected), command
 
 
 def test_walkthrough_transcript_matches_cli(capsys, monkeypatch):
     """Every console block in the walkthrough reproduces exactly."""
     monkeypatch.chdir(GOLDEN.parent)
-    blocks = _console_blocks((DOCS / "inverting-by-table.md").read_text())
-    assert len(blocks) == 3
-    for command, expected in blocks:
-        argv = command.split()
-        assert argv[0] == "revcirc"
-        assert main(argv[1:]) == 0
-        out = capsys.readouterr().out.splitlines()
-        assert out == expected, command
+    commands = _console_commands((DOCS / "inverting-by-table.md").read_text())
+    assert len(commands) == 3
+    _check_transcript(commands, capsys)
+
+
+def test_readme_quick_tour_matches_cli(capsys, monkeypatch, tmp_path):
+    """The README's Quick tour reproduces exactly, run in an empty directory."""
+    monkeypatch.chdir(tmp_path)
+    readme = (GOLDEN.parent / "README.md").read_text()
+    tour = readme.split("\n## Quick tour\n", 1)[1].split("\n## ", 1)[0]
+    commands = _console_commands(tour)
+    assert [command.split()[1] for command, _ in commands] == ["gen", "sim", "profile", "invert", "growth"]
+    _check_transcript(commands, capsys)

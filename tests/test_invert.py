@@ -5,6 +5,7 @@ import dataclasses
 import random
 import statistics
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -100,9 +101,28 @@ def outcome(inverter, *args):
         return type(exc), str(exc), getattr(exc, "trials", None)
 
 
-def block_edges(machine: Machine) -> list[int]:
-    block = invert._block_size(machine)
-    return sorted({1, 63, 64, 65, block - 1, block, block + 1})
+def budget_edges(machine: Machine) -> list[int]:
+    """Budgets at the edges of the draw chunks, which hold min(2^k, 2^14) draws."""
+    space = 1 << machine.iface.garbage_width
+    return sorted({1, 2, 3, max(1, space - 1), space, space + 1, 65})
+
+
+def copy_machine(k: int, width: int) -> Machine:
+    """k input lines that double as garbage; line k + i gets a copy of input i.
+
+    The remaining lines are untouched presets at 0, and every line from k up
+    is output, so garbage g fits output y iff y is g on its low k bits and 0
+    above them.
+    """
+    gates = tuple(make_gate("cx", [i], k + i) for i in range(k))
+    iface = InterfaceSpec(
+        width=width,
+        input_lines=tuple(range(k)),
+        preset_lines=tuple((line, 0) for line in range(k, width)),
+        output_lines=tuple(range(k, width)),
+        garbage_lines=tuple(range(k)),
+    )
+    return Machine(Circuit(width, gates), iface)
 
 
 class TestInvertWithProfile:
@@ -249,10 +269,11 @@ class TestBlockSearch:
     def test_blind_matches_per_trial_reference(self, m, data):
         y = data.draw(st.integers(0, (1 << m.iface.output_width) - 1))
         seed = data.draw(st.integers(0, 2**64))
-        max_trials = data.draw(st.sampled_from([None, *block_edges(m)]))
-        assert outcome(invert_blind, m, y, seed, max_trials) == outcome(
-            reference_invert_blind, m, y, seed, max_trials
-        )
+        max_trials = data.draw(st.sampled_from([None, *budget_edges(m)]))
+        chunk_bits = data.draw(st.sampled_from([invert._CHUNK_BITS, 0, 1, 2]))
+        with mock.patch.object(invert, "_CHUNK_BITS", chunk_bits):
+            got = outcome(invert_blind, m, y, seed, max_trials)
+        assert got == outcome(reference_invert_blind, m, y, seed, max_trials)
 
     @pytest.mark.parametrize(
         "m,ys",
@@ -260,24 +281,23 @@ class TestBlockSearch:
         ids=["incrementer(10)", "ripple_adder(9)", "decrementer(5)"],
     )
     def test_blind_block_edges_match_reference(self, m, ys):
-        assert invert._block_size(m) == max(64, 1 << m.iface.garbage_width)
-        for max_trials in block_edges(m):
+        for max_trials in budget_edges(m):
             for seed in range(20):
                 y = ys[seed % len(ys)]
                 assert outcome(invert_blind, m, y, seed, max_trials) == outcome(
                     reference_invert_blind, m, y, seed, max_trials
                 ), (max_trials, seed)
 
-    # ripple_adder(6) has 17 lines: 51 bits of lines per block is 3 guesses
-    @pytest.mark.parametrize("cap,value,block", [("_BLOCK_BITS", 51, 3), ("_BLOCK_GUESSES", 5, 5)])
-    def test_capped_blocks_match_reference(self, monkeypatch, cap, value, block):
+    # ripple_adder(6) has 5 garbage bits: 32 values in chunks of 1, 2 and 4
+    @pytest.mark.parametrize("chunk_bits", [0, 1, 2])
+    def test_small_chunks_match_reference(self, monkeypatch, chunk_bits):
         m = ripple_adder(6)
-        monkeypatch.setattr(invert, cap, value)
-        assert invert._block_size(m) == block
+        assert m.iface.garbage_width == 5
+        monkeypatch.setattr(invert, "_CHUNK_BITS", chunk_bits)
         p = garbage_profile(m)
         for seed in range(40):
             y = (seed * 37) % (1 << m.iface.output_width)
-            for max_trials in (None, 1, 2, 5, 6, 7, 31):
+            for max_trials in (None, 1, 2, 3, 4, 5, 7, 8, 9, 31, 32, 33):
                 assert outcome(invert_blind, m, y, seed, max_trials) == outcome(
                     reference_invert_blind, m, y, seed, max_trials
                 )
@@ -292,7 +312,10 @@ class TestBlockSearch:
         configs = data.draw(st.lists(st.integers(-2, (1 << k) + 1), min_size=1, max_size=80))
         per_output = data.draw(st.sampled_from([None, {}]))
         p = GarbageProfile("m", iface.input_width, k, tuple(configs), per_output)
-        assert outcome(invert_with_profile, m, y, p) == outcome(reference_invert_with_profile, m, y, p)
+        chunk_bits = data.draw(st.sampled_from([invert._CHUNK_BITS, 0, 1, 2]))
+        with mock.patch.object(invert, "_CHUNK_BITS", chunk_bits):
+            got = outcome(invert_with_profile, m, y, p)
+        assert got == outcome(reference_invert_with_profile, m, y, p)
 
     def test_single_state_runs_only_confirm(self, monkeypatch):
         calls = []
@@ -311,30 +334,37 @@ class TestBlockSearch:
             invert_blind(m, 5, seed=3, max_trials=r.trials - 1)
         assert calls == []
 
+    @pytest.mark.parametrize("k,width", [(0, 1), (16, 33)])
+    def test_exhaustion_draws_no_guess(self, monkeypatch, k, width):
+        # The top output line is an untouched preset at 0, so no garbage fits y.
+        class NoDrawRandom(random.Random):
+            def getrandbits(self, bits):
+                pytest.fail("drew a guess although no garbage value fits")
+
+        monkeypatch.setattr(invert.random, "Random", NoDrawRandom)
+        m = copy_machine(k, width)
+        with pytest.raises(TrialBudgetExceededError, match="in 1000000000000 trials") as exc:
+            invert_blind(m, 1 << (width - k - 1), seed=0, max_trials=10**12)
+        assert exc.value.trials == 10**12
+
     @pytest.mark.parametrize("width", [40, 1024])
     def test_k20_search_memory_is_bounded(self, width):
-        # 20 input lines double as garbage; line 20 + i gets a copy of input i,
-        # and the last line is an untouched preset the output claims is 1,
-        # so no guess ever fits and every block of the budget is run.
+        # Garbage g fits output y iff y == g. At width 40 the exhausted y is
+        # 2^19, which seed 0 first draws at trial 2,559,631, past the budget;
+        # at width 1,024 it is 2^1003, which nothing fits. y = 12345 is a hit.
         k = 20
-        gates = tuple(make_gate("cx", [i], k + i) for i in range(k))
-        iface = InterfaceSpec(
-            width=width,
-            input_lines=tuple(range(k)),
-            preset_lines=tuple((line, 0) for line in range(k, width)),
-            output_lines=tuple(range(k, width)),
-            garbage_lines=tuple(range(k)),
-        )
-        m = Machine(Circuit(width, gates), iface)
-        block = invert._block_size(m)
-        assert block < 1 << k
-        y = 1 << (width - k - 1)
+        m = copy_machine(k, width)
+        budget = 3 << 14
+        rng = random.Random(0)
+        first_draw = next(t for t in range(1, 1 << 24) if rng.getrandbits(k) == 12345)
         tracemalloc.start()
         try:
+            r = invert_blind(m, 12345, seed=0)
             with pytest.raises(TrialBudgetExceededError) as exc:
-                invert_blind(m, y, seed=0, max_trials=3 * block)
+                invert_blind(m, 1 << (width - k - 1), seed=0, max_trials=budget)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert exc.value.trials == 3 * block
+        assert exc.value.trials == budget
+        assert (r.input_value, r.matched_config, r.trials) == (12345, 12345, first_draw)
         assert peak < 4 << 20
