@@ -17,16 +17,27 @@ omitted. Serialization is canonical: fixed directive order, single spaces,
 lowercase mnemonics, one gate per line, trailing newline. Parsing a
 serialized machine reproduces it structurally, and serialize-parse-serialize
 is byte-identical.
+
+The parser validates a document's gates, once. A gate line is split on
+whitespace and checked for kind, arity, ASCII-digit indices below `width`
+and distinct lines, then built through `ir`'s private trusted constructors
+with no second check; equal gate lines share one Gate. Every other line,
+including a gate line that fails the check, goes through the regex
+tokenizer, whose errors carry the line and column of the offending token.
 """
 from __future__ import annotations
 
 import re
 
-from .ir import Circuit, InterfaceSpec, InvalidCircuitError, Machine, make_gate
+from .ir import Gate, GateKind, InterfaceSpec, InvalidCircuitError, Machine, make_gate
+from .ir import _trusted_circuit, _trusted_gate
 
 _DIRECTIVES = ("width", "input", "preset", "output", "garbage", "restored")
 _TOKEN = re.compile(r"\S+")
 _ASSIGN = re.compile(r"^([0-9]+)=([01])$")
+# Gate kind by mnemonic, with the token count of a well-formed gate line.
+_GATE_WORDS = {"x": (GateKind.X, 3), "cx": (GateKind.CX, 4), "ccx": (GateKind.CCX, 5)}
+_GATE_LINE = {GateKind.X: "gate x %s", GateKind.CX: "gate cx %s %s", GateKind.CCX: "gate ccx %s %s %s"}
 
 
 class CircuitSyntaxError(InvalidCircuitError):
@@ -43,10 +54,20 @@ def parse_circuit(text: str) -> Machine:
     width: int | None = None
     regions: dict[str, list] = {name: [] for name in _DIRECTIVES[1:]}
     seen: set[str] = set()
-    gates = []
+    gates: list[Gate] = []
     gates_started = False
+    known: dict[str, Gate] = {}  # gate line text -> its Gate, for this document only
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        gate = known.get(raw)
+        if gate is None and width is not None:
+            gate = _checked_gate(raw, width)
+            if gate is not None:
+                known[raw] = gate
+        if gate is not None:
+            gates_started = True
+            gates.append(gate)
+            continue
         line = raw.split("#", 1)[0]
         tokens = [(m.group(), m.start() + 1) for m in _TOKEN.finditer(line)]
         if not tokens:
@@ -93,11 +114,32 @@ def parse_circuit(text: str) -> Machine:
             garbage_lines=tuple(regions["garbage"]),
             restored_lines=tuple(regions["restored"]),
         )
-        return Machine(Circuit(width, tuple(gates)), iface)
-    except CircuitSyntaxError:
-        raise
+        # A gate before `width` fails the document (`width` may not follow a
+        # gate), so every gate here was checked against `width`.
+        return Machine(_trusted_circuit(width, tuple(gates)), iface)
     except InvalidCircuitError as exc:
         raise InvalidCircuitError(f"invalid circuit document: {exc}") from exc
+
+
+def _checked_gate(raw: str, width: int) -> Gate | None:
+    """The Gate a well-formed gate line spells, or None if the line needs the full parse."""
+    words = raw.split("#", 1)[0].split() if "#" in raw else raw.split()
+    if len(words) < 3 or words[0] != "gate":
+        return None
+    kind, count = _GATE_WORDS.get(words[1], (None, 0))
+    if len(words) != count:
+        return None
+    del words[:2]
+    digits = "".join(words)
+    if not (digits.isascii() and digits.isdigit()):
+        return None
+    try:
+        lines = tuple(map(int, words))
+    except ValueError:  # more digits than int() converts
+        return None
+    if max(lines) >= width or len(set(lines)) != len(lines):
+        return None
+    return _trusted_gate(kind, lines[:-1], lines[-1])
 
 
 def _parse_index(token: str, lineno: int, col: int, expected: str = "expected a line index") -> int:
@@ -158,6 +200,5 @@ def serialize(machine: Machine) -> str:
         out.append("garbage " + " ".join(str(l) for l in iface.garbage_lines))
     if iface.restored_lines:
         out.append("restored " + " ".join(f"{l}={c}" for l, c in iface.restored_lines))
-    for gate in machine.circuit.gates:
-        out.append("gate " + gate.kind.value + " " + " ".join(str(l) for l in gate.lines))
+    out.extend(_GATE_LINE[g.kind] % (*g.controls, g.target) for g in machine.circuit.gates)
     return "\n".join(out) + "\n"

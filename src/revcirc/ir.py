@@ -4,6 +4,13 @@ Everything here is immutable after construction and safe to share across
 threads. A Circuit is just an ordered gate list over `width` lines; an
 InterfaceSpec assigns roles to those lines (input/preset at the start,
 output/garbage/restored at the end); a Machine bundles the two.
+
+Validation happens once, where a value enters: in the public `Gate`,
+`make_gate` and `Circuit` constructors and in the parser. `inverse`,
+`concat` and `remap` (after checking its line map) build from gates already
+valid, through `_trusted_gate` and `_trusted_circuit`, which skip
+`__post_init__`. Those two are private: a caller must have checked what
+`__post_init__` would.
 """
 from __future__ import annotations
 
@@ -60,6 +67,17 @@ class Gate:
         return self.controls + (self.target,)
 
 
+def _trusted_gate(kind: GateKind, controls: tuple[int, ...], target: int) -> Gate:
+    """A Gate whose arity, non-negative and distinct lines the caller has checked."""
+    # Set as the dataclass's own __init__ does; a filled-in __dict__ would
+    # take half as much memory again per gate.
+    gate = object.__new__(Gate)
+    object.__setattr__(gate, "kind", kind)
+    object.__setattr__(gate, "controls", controls)
+    object.__setattr__(gate, "target", target)
+    return gate
+
+
 def make_gate(kind: GateKind | str, controls: Sequence[int], target: int) -> Gate:
     """Build a validated Gate; `kind` may be given as 'x'/'cx'/'ccx'."""
     if isinstance(kind, str):
@@ -91,12 +109,20 @@ class Circuit:
         return len(self.gates)
 
 
+def _trusted_circuit(width: int, gates: tuple[Gate, ...]) -> Circuit:
+    """A Circuit whose width is positive and whose gates all lie below it."""
+    circuit = object.__new__(Circuit)
+    object.__setattr__(circuit, "width", width)
+    object.__setattr__(circuit, "gates", gates)
+    return circuit
+
+
 def inverse(circuit: Circuit) -> Circuit:
     """The circuit undoing `circuit`: gates in reverse order.
 
     Each primitive is self-inverse, so reversing the order is enough.
     """
-    return Circuit(circuit.width, tuple(reversed(circuit.gates)))
+    return _trusted_circuit(circuit.width, circuit.gates[::-1])
 
 
 def remap(circuit: Circuit, line_map: Mapping[int, int], new_width: int) -> Circuit:
@@ -114,18 +140,20 @@ def remap(circuit: Circuit, line_map: Mapping[int, int], new_width: int) -> Circ
     bad = [i for i in image if not 0 <= i < new_width]
     if bad:
         raise InvalidCircuitError(f"line map image out of range [0, {new_width}): {bad}")
+    # An injective map into [0, new_width) keeps every gate's lines distinct and in range.
+    new_line = line_map.__getitem__
     gates = tuple(
-        Gate(g.kind, tuple(line_map[c] for c in g.controls), line_map[g.target])
+        _trusted_gate(g.kind, tuple(map(new_line, g.controls)), new_line(g.target))
         for g in circuit.gates
     )
-    return Circuit(new_width, gates)
+    return _trusted_circuit(new_width, gates)
 
 
 def concat(a: Circuit, b: Circuit) -> Circuit:
     """Sequence two equal-width circuits: run `a`, then `b`."""
     if a.width != b.width:
         raise InvalidCircuitError(f"width mismatch: {a.width} vs {b.width}")
-    return Circuit(a.width, a.gates + b.gates)
+    return _trusted_circuit(a.width, a.gates + b.gates)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Parsing and canonical serialization of .rvc documents."""
 from __future__ import annotations
 
+import re
 import tracemalloc
 
 import pytest
@@ -8,12 +9,15 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from revcirc import (
+    Circuit,
     CircuitSyntaxError,
     GateKind,
+    InterfaceSpec,
     InvalidCircuitError,
     Machine,
     bennett,
     incrementer,
+    make_gate,
     parse_circuit,
     ripple_adder,
     serialize,
@@ -24,6 +28,122 @@ from revcirc import (
 from conftest import machines
 
 MINIMAL = "width 1\ninput 0\noutput 0\ngate x 0\n"
+
+_REF_DIRECTIVES = ("width", "input", "preset", "output", "garbage", "restored")
+_REF_TOKEN = re.compile(r"\S+")
+_REF_ASSIGN = re.compile(r"^([0-9]+)=([01])$")
+
+
+def reference_parse_circuit(text: str) -> Machine:
+    """The regex-tokenized parser that checks every gate again in `Gate` and
+    `Circuit`, kept as the oracle for `parse_circuit`'s results and errors."""
+    width = None
+    regions: dict[str, list] = {name: [] for name in _REF_DIRECTIVES[1:]}
+    seen: set[str] = set()
+    gates = []
+    gates_started = False
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0]
+        tokens = [(m.group(), m.start() + 1) for m in _REF_TOKEN.finditer(line)]
+        if not tokens:
+            continue
+        keyword, col = tokens[0]
+        args = tokens[1:]
+
+        if keyword == "gate":
+            gates_started = True
+            gates.append(_ref_parse_gate(args, lineno, col, width))
+        elif keyword in _REF_DIRECTIVES:
+            if gates_started:
+                raise CircuitSyntaxError(
+                    f"directive {keyword!r} after the first gate statement", lineno, col
+                )
+            if keyword in seen:
+                raise CircuitSyntaxError(f"duplicate directive {keyword!r}", lineno, col)
+            seen.add(keyword)
+            if keyword == "width":
+                if len(args) != 1:
+                    raise CircuitSyntaxError("width takes exactly one argument", lineno, col)
+                token, tcol = args[0]
+                width = _ref_parse_index(token, lineno, tcol, "width must be a positive integer")
+                if width < 1:
+                    raise CircuitSyntaxError(
+                        f"width must be a positive integer, got {token!r}", lineno, tcol
+                    )
+            elif keyword in ("preset", "restored"):
+                regions[keyword] = [_ref_parse_assignment(t, lineno, c) for t, c in args]
+            else:
+                regions[keyword] = [_ref_parse_index(t, lineno, c) for t, c in args]
+        else:
+            raise CircuitSyntaxError(f"unknown directive {keyword!r}", lineno, col)
+
+    if width is None:
+        raise CircuitSyntaxError("missing required directive 'width'", 1, 1)
+
+    try:
+        iface = InterfaceSpec(
+            width=width,
+            input_lines=tuple(regions["input"]),
+            preset_lines=tuple(regions["preset"]),
+            output_lines=tuple(regions["output"]),
+            garbage_lines=tuple(regions["garbage"]),
+            restored_lines=tuple(regions["restored"]),
+        )
+        return Machine(Circuit(width, tuple(gates)), iface)
+    except CircuitSyntaxError:
+        raise
+    except InvalidCircuitError as exc:
+        raise InvalidCircuitError(f"invalid circuit document: {exc}") from exc
+
+
+def _ref_parse_index(token, lineno, col, expected="expected a line index"):
+    if token.isascii() and token.isdigit():
+        try:
+            return int(token)
+        except ValueError:
+            pass
+    raise CircuitSyntaxError(f"{expected}, got {token!r}", lineno, col)
+
+
+def _ref_parse_assignment(token, lineno, col):
+    expected = "expected LINE=BIT with BIT 0 or 1"
+    m = _REF_ASSIGN.match(token)
+    if m is None:
+        raise CircuitSyntaxError(f"{expected}, got {token!r}", lineno, col)
+    return _ref_parse_index(m.group(1), lineno, col, expected), int(m.group(2))
+
+
+def _ref_parse_gate(args, lineno, col, width):
+    if not args:
+        raise CircuitSyntaxError("gate statement needs a kind and line indices", lineno, col)
+    kind, kcol = args[0]
+    if kind not in ("x", "cx", "ccx"):
+        raise CircuitSyntaxError(f"unknown gate kind {kind!r}", lineno, kcol)
+    arity = {"x": 1, "cx": 2, "ccx": 3}[kind]
+    if len(args) - 1 != arity:
+        raise CircuitSyntaxError(
+            f"gate {kind!r} takes {arity} line indices, got {len(args) - 1}", lineno, kcol
+        )
+    lines = [_ref_parse_index(t, lineno, c) for t, c in args[1:]]
+    if width is not None:
+        for (token, tcol), line in zip(args[1:], lines):
+            if line >= width:
+                raise CircuitSyntaxError(
+                    f"line {line} out of range for width {width}", lineno, tcol
+                )
+    try:
+        return make_gate(kind, lines[:-1], lines[-1])
+    except InvalidCircuitError as exc:
+        raise CircuitSyntaxError(str(exc), lineno, kcol) from exc
+
+
+def parse_outcome(parse, text: str):
+    """What `parse` makes of `text`: the machine, or the error's type, message and place."""
+    try:
+        return parse(text)
+    except InvalidCircuitError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
 
 
 class TestParse:
@@ -157,6 +277,118 @@ class TestParseFuzz:
     @example("width 2\ninput 0\npreset " + "1" * 5000 + "=0\noutput 0 1\n")
     def test_rvc_vocabulary(self, text):
         _parses_or_refuses(text)
+
+
+_HUGE = "1" * 5000  # past int()'s digit limit
+_EDITS = (
+    "tabs", "spaces", "comment", "upper", "leading zero", "drop", "extra",
+    "out of range", "duplicate", "odd digits", "gate first",
+)
+
+
+@st.composite
+def _edited_documents(draw):
+    """A serialized machine with a few lines edited the ways hand-written files differ."""
+    m = draw(machines())
+    lines = serialize(m).splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        words = lines[i].split()
+        numbers = [j for j, w in enumerate(words) if w.isdigit()]
+        j = draw(st.sampled_from(numbers)) if numbers else None
+        edit = draw(st.sampled_from(_EDITS))
+        if edit == "tabs":
+            lines[i] = "\t".join(words)
+            continue
+        if edit == "spaces":
+            lines[i] = " " + "  ".join(words) + " "
+            continue
+        if edit == "comment":
+            lines[i] += draw(st.sampled_from(["# note", " # gate x 0", "#", "\t#", " #1", "#0 1"]))
+            continue
+        if edit == "gate first":
+            gate_lines = [k for k, line in enumerate(lines) if line.startswith("gate")]
+            lines.insert(0, lines.pop(gate_lines[0]) if gate_lines else "gate x 0")
+            continue
+        if edit == "upper":
+            k = draw(st.integers(0, min(1, len(words) - 1)))
+            words[k] = words[k].upper()
+        elif edit == "drop" and len(words) > 1:
+            words.pop()
+        elif edit == "extra":
+            words.append(str(draw(st.integers(0, m.width))))
+        elif edit == "duplicate" and len(numbers) >= 2:
+            words[numbers[-1]] = words[numbers[0]]
+        elif j is not None and edit == "leading zero":
+            words[j] = "0" * draw(st.integers(1, 3)) + words[j]
+        elif j is not None and edit == "out of range":
+            words[j] = str(m.width + draw(st.integers(0, 2)))
+        elif j is not None and edit == "odd digits":
+            words[j] = draw(st.sampled_from([_HUGE, "\u00b2", "\u0663", "\uff11", "-1", "+1", "1_0"]))
+        lines[i] = " ".join(words)
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + newline
+
+
+_HEAD = "width 3\ninput 0 1 2\noutput 0 1 2\n"
+HOSTILE = [
+    _HEAD + "gate x " + _HUGE + "\n",
+    _HEAD + "gate cx 0 " + "9" * 5000 + "\n",
+    _HEAD + "gate cx 0 \u00b2\n",
+    _HEAD + "gate cx \u0663 1\n",
+    _HEAD + "gate x \uff11\n",
+    _HEAD + "gate\n",
+    _HEAD + "gate  # nothing to flip\n",
+    _HEAD + "gate",
+    _HEAD + "gate x 0\ngate",
+    _HEAD + "gate x 0 gate\n",
+    _HEAD + "gate ccx 0 1",
+    _HEAD + "gate cx 0 #1\n",
+    _HEAD + "gate x 3\n",
+    _HEAD + "gate cx 2 2\n",
+    "gate x 0\n" + _HEAD,
+]
+# Well-formed, though not as serialize writes them.
+UNUSUAL = [
+    _HEAD + "gate cx 0 1 # 2\n",
+    _HEAD + "gate\tccx 0\t1  2\r\n",
+    _HEAD + "  gate x 002\n",
+    _HEAD + "gate x 2#\ngate x 2\n",
+]
+
+
+class TestParseMatchesReference:
+    """`parse_circuit` against the regex-tokenized `reference_parse_circuit`."""
+
+    @given(_edited_documents())
+    def test_edited_documents(self, text):
+        assert parse_outcome(parse_circuit, text) == parse_outcome(reference_parse_circuit, text)
+
+    @given(_VOCABULARY_TEXT)
+    def test_rvc_vocabulary(self, text):
+        assert parse_outcome(parse_circuit, text) == parse_outcome(reference_parse_circuit, text)
+
+    @pytest.mark.parametrize("text", HOSTILE)
+    def test_hostile_documents_refused_alike(self, text):
+        outcome = parse_outcome(parse_circuit, text)
+        assert isinstance(outcome, tuple)
+        assert outcome == parse_outcome(reference_parse_circuit, text)
+
+    @pytest.mark.parametrize("text", UNUSUAL)
+    def test_unusual_documents_parse_alike(self, text):
+        machine = parse_circuit(text)
+        assert machine == reference_parse_circuit(text)
+
+    def test_huge_index_names_its_place(self):
+        with pytest.raises(CircuitSyntaxError, match="expected a line index") as exc:
+            parse_circuit(_HEAD + "gate x " + _HUGE + "\n")
+        assert (exc.value.line, exc.value.column) == (4, 8)
+
+    def test_equal_gate_lines_share_a_gate_within_one_parse(self):
+        text = MINIMAL + "gate x 0\n"
+        first, second = parse_circuit(text), parse_circuit(text)
+        assert first.circuit.gates[0] is first.circuit.gates[1]
+        assert first.circuit.gates[0] is not second.circuit.gates[0]
 
 
 class TestSerialize:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -15,16 +16,23 @@ from revcirc import (
     InterfaceSpec,
     InvalidCircuitError,
     Machine,
+    bennett,
     concat,
+    decrementer,
     incrementer,
     inverse,
     inverse_machine,
     make_gate,
+    parse_circuit,
     remap,
     run,
+    serialize,
     step,
+    zero_garbage_compose,
 )
-from conftest import circuits
+from conftest import circuits, machines
+
+GOLDEN = Path(__file__).resolve().parent.parent / "golden"
 
 
 class TestMakeGate:
@@ -230,3 +238,68 @@ class TestInverseMachine:
             final = run(m.circuit, BitState.zeros(4).with_value(m.iface.input_lines, x))
             back = run(inv.circuit, final)
             assert back.value_of(m.iface.input_lines) == x
+
+
+def assert_as_if_validated(circuit: Circuit) -> None:
+    """`circuit` equals what the validating constructors build from its parts."""
+    assert type(circuit.gates) is tuple
+    assert Circuit(circuit.width, circuit.gates) == circuit
+    for g in circuit.gates:
+        public = Gate(g.kind, g.controls, g.target)
+        assert type(g.controls) is tuple
+        assert g == public and hash(g) == hash(public)
+
+
+def derived_circuits(m: Machine) -> list[Circuit]:
+    """Every circuit the algebra, the transforms and the parser derive from `m`."""
+    c, w = m.circuit, m.width
+    reversed_lines = {i: w - i for i in range(w)}
+    return [
+        concat(c, c),
+        inverse(c),
+        remap(c, reversed_lines, w + 1),
+        inverse_machine(m).circuit,
+        bennett(m).circuit,
+        parse_circuit(serialize(m)).circuit,
+    ]
+
+
+class TestTrustedConstruction:
+    """Circuits built without re-validation are the ones validation would build."""
+
+    @given(machines())
+    def test_generated_machines(self, m):
+        for circuit in derived_circuits(m):
+            assert_as_if_validated(circuit)
+
+    def test_library_roster(self, roster):
+        for _, m in roster:
+            for circuit in derived_circuits(m):
+                assert_as_if_validated(circuit)
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_zero_garbage_compose(self, n):
+        for f, g in ((incrementer(n), decrementer(n)), (decrementer(n), incrementer(n))):
+            assert_as_if_validated(zero_garbage_compose(f, g).circuit)
+
+    @pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.rvc")), ids=lambda p: p.name)
+    def test_golden_files(self, path):
+        m = parse_circuit(path.read_text())
+        assert_as_if_validated(m.circuit)
+        for circuit in derived_circuits(m):
+            assert_as_if_validated(circuit)
+
+    @pytest.mark.parametrize(
+        "build,match",
+        [
+            (lambda: Gate(GateKind.CX, (0, 1), 2), "control"),
+            (lambda: Gate(GateKind.X, (), -1), "negative"),
+            (lambda: Gate(GateKind.CCX, (1, 1), 0), "duplicate line"),
+            (lambda: make_gate("ccx", [0, 2], 0), "duplicate line"),
+            (lambda: Circuit(2, (Gate(GateKind.CX, (0,), 2),)), "out of range"),
+            (lambda: Circuit(3, (Gate(GateKind.X, (), 0), Gate(GateKind.X, (), 3))), "out of range"),
+        ],
+    )
+    def test_public_constructors_still_validate(self, build, match):
+        with pytest.raises(InvalidCircuitError, match=match):
+            build()

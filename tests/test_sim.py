@@ -124,6 +124,14 @@ class TestBitState:
         with pytest.raises(ValueError, match="bits"):
             BitState(3, (0, 1))
 
+    @given(machines(), st.data())
+    def test_computed_states_are_valid_states(self, m, data):
+        x = data.draw(st.integers(0, (1 << m.iface.input_width) - 1))
+        start = initial_state(m, x)
+        for state in (start, run(m.circuit, start), run(m.circuit, start, "backward")):
+            assert type(state.bits) is tuple
+            assert BitState(state.width, state.bits) == state
+
     def test_str_is_line_order(self):
         assert str(state(1, 0, 1, 1)) == "1011"
 
