@@ -27,7 +27,11 @@ from .transforms import bennett, zero_garbage_compose
 
 
 def _load(path: str) -> Machine:
-    return parse_circuit(Path(path).read_text())
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidCircuitError(f"{path} is not UTF-8 text: {exc}") from exc
+    return parse_circuit(text)
 
 
 def _save(machine: Machine, path: str) -> None:

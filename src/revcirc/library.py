@@ -6,7 +6,7 @@ preset to 0 and left behind as garbage.
 """
 from __future__ import annotations
 
-from .ir import Circuit, Gate, GateKind, InterfaceSpec, InvalidCircuitError, Machine
+from .ir import Circuit, Gate, GateKind, InterfaceSpec, InvalidCircuitError, Machine, concat
 
 _X, _CX, _CCX = GateKind.X, GateKind.CX, GateKind.CCX
 
@@ -57,9 +57,8 @@ def decrementer(n: int) -> Machine:
     if n < 2:
         raise InvalidCircuitError(f"decrementer needs at least 2 bits, got {n}")
     inc = incrementer(n)
-    wrap = tuple(Gate(_X, (), line) for line in inc.iface.input_lines)
-    circuit = Circuit(inc.width, wrap + inc.circuit.gates + wrap)
-    return Machine(circuit, inc.iface)
+    wrap = Circuit(inc.width, tuple(Gate(_X, (), line) for line in inc.iface.input_lines))
+    return Machine(concat(concat(wrap, inc.circuit), wrap), inc.iface)
 
 
 def ripple_adder(n: int) -> Machine:

@@ -197,6 +197,15 @@ class TestExitCodes:
         bad.write_text(text, encoding="utf-8")
         assert main(["sim", "-c", str(bad), "--int", "0"]) == 2
 
+    @pytest.mark.parametrize("data", [b"# caf\xe9\nwidth 1\n", bytes(range(128, 256))])
+    def test_non_utf8_document(self, capsys, tmp_path, data):
+        bad = tmp_path / "bad.rvc"
+        bad.write_bytes(data)
+        assert main(["table", "-c", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad} is not UTF-8 text: ")
+        assert err.count("\n") == 1
+
     def test_partition_violation_document(self, capsys, tmp_path):
         bad = tmp_path / "bad.rvc"
         bad.write_text("width 2\ninput 0\noutput 0 1\n")

@@ -347,6 +347,26 @@ HOSTILE = [
     _HEAD + "gate x 3\n",
     _HEAD + "gate cx 2 2\n",
     "gate x 0\n" + _HEAD,
+    _HEAD + "gate ccx 3 9 0\n",  # the first line out of range is named, not the largest
+    # Directive lines.
+    "width 3\ninput 0 1\npreset " + _HUGE + "=0\noutput 0 1 2\n",
+    "width 3\ninput 0 1\npreset 2=0\noutput 0 1\nrestored " + _HUGE + "=0\n",
+    "width 3\ninput 0 1 2\noutput 0 1\ngarbage " + _HUGE + "\n",
+    "width 3\ninput 0 1\npreset " + _HUGE + "=0 x\noutput 0 1 2\n",
+    "width 3\ninput 0 \u00b2 2\noutput 0 1 2\n",
+    "width \u0663\ninput 0 1 2\noutput 0 1 2\n",
+    "width 0\n",
+    "width\ninput 0\noutput 0\n",
+    "width 3 4\ninput 0 1 2\noutput 0 1 2\n",
+    "width 3\ninput\t0\t\uff11\t2\noutput 0 1 2\n",
+    "width 3\ninput 0 1\npreset 2=2\noutput 0 1 2\n",
+    "width 3\ninput 0 1\npreset 2=0\noutput 0 1\nrestored 1=x\n",
+    "width 3\ninput 0 -2 2\noutput 0 1 2\n",
+    "width 3\ninput 0 +2 2\noutput 0 1 2\n",
+    "width 3\ninput 0 1_0 2\noutput 0 1 2\n",
+    "width 3\ninput 0 1 2\ngate x 0\noutput 0 1 2\n",
+    _HEAD + "   qubits 3\n",
+    "width 3\ninput\noutput 0 1 2\n",
 ]
 # Well-formed, though not as serialize writes them.
 UNUSUAL = [
@@ -354,6 +374,9 @@ UNUSUAL = [
     _HEAD + "gate\tccx 0\t1  2\r\n",
     _HEAD + "  gate x 002\n",
     _HEAD + "gate x 2#\ngate x 2\n",
+    "width 1\ninput\npreset 0=1\noutput 0\ngate x 0\n",
+    "\twidth\t3 # lines\ninput 0\t01  2\npreset#\noutput 2 1 0\n",
+    "width 3\ninput 0 1\npreset 002=1\noutput 0 1\nrestored 2=1 # kept\n",
 ]
 
 
