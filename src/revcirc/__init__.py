@@ -38,6 +38,7 @@ from .analysis import (
     InsufficientPointsError,
     classify_growth,
     conformance,
+    garbage_configs,
     garbage_profile,
     growth_report,
 )
@@ -81,6 +82,7 @@ __all__ = [
     "conformance",
     "copy_fanout",
     "decrementer",
+    "garbage_configs",
     "garbage_profile",
     "growth_report",
     "incrementer",

@@ -6,6 +6,10 @@ what separates algorithms whose backward runs can be steered from those
 whose cannot, so the profiler is deliberately exact and the growth report is
 explicitly labeled as an empirical desk-scale classification, never a
 verdict about asymptotics.
+
+`growth_report` counts configurations by splitting the input mask by garbage
+column (`garbage_configs`), with no per-row table; `garbage_profile` builds
+one, because its report carries the per-output map.
 """
 from __future__ import annotations
 
@@ -23,6 +27,10 @@ from .sim import (
     is_injective,
     truth_table,
 )
+from .sim import _final_lines, _region_values
+
+# garbage_configs holds one 2^n-bit row mask per configuration, at most this many.
+_MAX_SPLIT_CONFIGS = 512
 
 
 class InsufficientPointsError(ValueError):
@@ -172,6 +180,27 @@ def garbage_profile(
     )
 
 
+def garbage_configs(machine: Machine, max_input_bits: int = EXHAUSTIVE_BOUND) -> list[int]:
+    """The sorted reachable garbage configurations, without a per-row table; raises as `truth_table`.
+
+    Each configuration keeps the mask of the inputs reaching it, and each garbage line splits
+    every mask by its 0 and 1 rows. Past `_MAX_SPLIT_CONFIGS` masks it transposes instead.
+    """
+    lines = _final_lines(machine, max_input_bits)
+    rows = 1 << machine.iface.input_width
+    columns = [lines[line] for line in machine.iface.garbage_lines]
+    masks = {0: (1 << rows) - 1}
+    for bit, column in enumerate(columns):
+        if len(masks) > _MAX_SPLIT_CONFIGS // 2:
+            return sorted(set(_region_values(columns, rows)))
+        split = {}
+        while masks:  # popped, so a mask is freed once split
+            config, mask = masks.popitem()
+            split[config | 1 << bit], split[config] = mask & column, mask & ~column
+        masks = {config: mask for config, mask in split.items() if mask}
+    return sorted(masks)
+
+
 def conformance(
     machine: Machine,
     label: str | None = None,
@@ -185,7 +214,7 @@ def conformance(
     """
     violation = None
     try:
-        truth_table(machine, max_input_bits)
+        _final_lines(machine, max_input_bits)
     except RestorationViolationError as exc:
         violation = exc
     return ConformanceReport.from_outcome(machine, machine_id(machine, label), violation)
@@ -248,7 +277,7 @@ def growth_report(
     family_name: str | None = None,
     max_input_bits: int = EXHAUSTIVE_BOUND,
 ) -> GrowthReport:
-    """Profile a machine family across sizes and classify the config growth.
+    """Count a family's garbage configurations across sizes and classify the growth.
 
     Every size is built, and checked against the enumeration bound, before
     any is enumerated, so an oversized range is refused at no cost.
@@ -260,8 +289,7 @@ def growth_report(
     for m in machines:
         check_enumeration_bound(m.iface.input_width, max_input_bits)
     points = tuple(
-        (n, garbage_profile(m, max_input_bits=max_input_bits).config_count)
-        for n, m in zip(sizes, machines)
+        (n, len(garbage_configs(m, max_input_bits))) for n, m in zip(sizes, machines)
     )
     classification, details = classify_growth(points)
     return GrowthReport(

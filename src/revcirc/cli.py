@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import json
 import sys
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 import click
@@ -48,15 +50,47 @@ def _bits_to_int(bits: str, what: str, expected_len: int) -> int:
 
 
 def _int_to_bits(value: int, width: int) -> str:
-    return "".join(str((value >> i) & 1) for i in range(width))
+    return format(value, f"0{width}b")[::-1] if width else ""
+
+
+def _row_template(rows: list, pad: str) -> str | None:
+    """A `%` template writing a row at indent `pad`, if `rows` are int dicts sharing one key tuple."""
+    keys = set(map(tuple, rows)) if set(map(type, rows)) == {dict} else ()
+    if len(keys) == 1 and set(map(type, chain.from_iterable(map(dict.values, rows)))) == {int}:
+        fields = ",\n".join(f"{pad}  {_quote(key).replace('%', '%%')}: %d" for key in keys.pop())
+        return f"{{\n{fields}\n{pad}}}"
+    return None
+
+
+def _dumps(value, pad: str) -> str:
+    """Exactly `json.dumps(value, indent=2)` for `value` at indent `pad`; keys must be str.
+
+    With `indent` set `json` encodes in Python; here lists of ints, dicts of ints and lists
+    of int dicts sharing one key tuple are joined in C. `type(v) is int` keeps bools out.
+    """
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if set(map(type, value.values())) == {int}:
+            items = map("%s: %d".__mod__, zip(map(_quote, value), value.values()))
+        else:
+            items = [f"{_quote(key)}: {_dumps(item, inner)}" for key, item in value.items()]
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)):
+        if set(map(type, value)) == {int}:
+            items = map(int.__repr__, value)
+        elif template := _row_template(value, inner):
+            items = map(template.__mod__, map(tuple, map(dict.values, value)))
+        else:
+            items = [_dumps(item, inner) for item in value]
+        brackets = "[]"
+    else:
+        return json.dumps(value)
+    body = f",\n{inner}".join(items)  # empty only for an empty container
+    return f"{brackets[0]}\n{inner}{body}\n{pad}{brackets[1]}" if body else brackets
 
 
 def _emit(report: dict, as_json: bool, human: list[str]) -> None:
-    if as_json:
-        click.echo(json.dumps(report, indent=2))
-    else:
-        for line in human:
-            click.echo(line)
+    click.echo(_dumps(report, "") if as_json else "\n".join(human))
 
 
 @click.group()
@@ -288,18 +322,16 @@ def invert(
         prof = garbage_profile(machine)
         result = invert_with_profile(machine, y, prof)
         report.update(result.as_dict())
-        report["attempts"] = [
-            {"config": cfg, "accepted": i == result.trials - 1}
-            for i, cfg in enumerate(prof.configs[: result.trials])
-        ]
+        tried = prof.configs[: result.trials]
+        report["attempts"] = [{"config": cfg, "accepted": i == len(tried)} for i, cfg in enumerate(tried, 1)]
         report["profile"] = prof.as_dict()
         human.append(
             f"method: table (profile built from {1 << prof.input_bits} forward runs, "
             f"{prof.config_count} configurations)"
         )
-        for i, cfg in enumerate(prof.configs[: result.trials]):
-            verdict = "accept" if i == result.trials - 1 else "reject"
-            human.append(f"trial {i + 1}: garbage {_int_to_bits(cfg, k) or '(empty)'} -> {verdict}")
+        for i, cfg in enumerate(tried, 1):
+            verdict = "accept" if i == len(tried) else "reject"
+            human.append(f"trial {i}: garbage {_int_to_bits(cfg, k) or '(empty)'} -> {verdict}")
     report["matched_config_bits"] = _int_to_bits(result.matched_config, k)
     report["input_bits"] = _int_to_bits(result.input_value, iface.input_width)
     human.append(
@@ -326,8 +358,8 @@ def gen(kind: str, n: int, out: str, as_json: bool) -> None:
     _report_written(machine, out, "gen", as_json)
 
 
-def _fail(exc: Exception) -> None:
-    click.echo(f"error: {exc}", err=True)
+# Domain errors and their documented exit codes; no class here subclasses another.
+_EXIT_CODES = ((ExhaustiveBoundError, 4), (InversionError, 3), (InvalidCircuitError, 2), (OSError, 1))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -342,18 +374,9 @@ def main(argv: list[str] | None = None) -> int:
     except click.Abort:
         click.echo("aborted", err=True)
         return 1
-    except ExhaustiveBoundError as exc:
-        _fail(exc)
-        return 4
-    except InversionError as exc:
-        _fail(exc)
-        return 3
-    except InvalidCircuitError as exc:
-        _fail(exc)
-        return 2
-    except OSError as exc:
-        _fail(exc)
-        return 1
+    except tuple(kind for kind, _ in _EXIT_CODES) as exc:
+        click.echo(f"error: {exc}", err=True)
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
     return 0
 
 

@@ -15,17 +15,20 @@ really maps to the requested output.
 
 Both inverters test guesses by bit-sliced backward runs, as `truth_table`
 runs inputs forward: each line is one integer with a bit per guess, so a gate
-costs one big-integer operation for all of them. `invert_blind` runs all 2^k
-garbage values backward once, in chunks, for the set that fits, then reads
-the seeded `getrandbits(k)` draws against it: trials still count single
-guesses, and an empty set ends the search before any draw. Only the accepted
-guess runs on single states: backward, and forward again to confirm it.
+costs one big-integer operation for all of them. `invert_blind` runs at most
+min(budget, 2^k) values backward: a budget of 2^k or more runs all 2^k values
+once, in chunks, for the set that fits, and reads the seeded `getrandbits(k)`
+draws against it (an empty set ends the search before any draw); a smaller
+budget runs its draws themselves, a chunk at a time. Trials count single
+guesses. Only the accepted guess runs on single states: backward, and forward
+again to confirm it.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 from itertools import repeat
+from typing import Sequence
 
 from .ir import InvalidCircuitError, Machine
 from .sim import EXHAUSTIVE_BOUND, BitState, ExhaustiveBoundError, run
@@ -74,8 +77,7 @@ class InversionResult:
 def _final_state(machine: Machine, y: int, config: int) -> BitState:
     """Candidate final state: output = y, garbage = config, restored at constants."""
     iface = machine.iface
-    state = BitState.zeros(iface.width)
-    state = state.with_value(iface.output_lines, y)
+    state = BitState.zeros(iface.width).with_value(iface.output_lines, y)
     state = state.with_value(iface.garbage_lines, config)
     for line, const in iface.restored_lines:
         state = state.with_value([line], const)
@@ -123,6 +125,18 @@ def _fit_table(machine: Machine, y: int) -> str:
     return "".join(pieces)
 
 
+def _first_fit(machine: Machine, y: int, guesses: Sequence[int]) -> int:
+    """Index of the first guess that fits, or -1; runs 2^_CHUNK_BITS guesses back at a time."""
+    size = 1 << _CHUNK_BITS
+    k = machine.iface.garbage_width
+    for done in range(0, len(guesses), size):
+        chunk = guesses[done : done + size]
+        fits = _fits(machine, y, _region_columns(chunk, k), (1 << len(chunk)) - 1)
+        if fits:
+            return done + (fits & -fits).bit_length() - 1
+    return -1
+
+
 def _trial(machine: Machine, y: int, config: int) -> BitState:
     """Confirm an accepted guess on single states; the start state it runs back to.
 
@@ -167,16 +181,11 @@ def invert_with_profile(machine: Machine, y: int, profile: GarbageProfile) -> In
         (j for j, config in enumerate(configs) if not 0 <= config < (1 << iface.garbage_width)),
         len(configs),
     )
-    size = 1 << _CHUNK_BITS
-    for done in range(0, in_range, size):
-        chunk = configs[done : min(done + size, in_range)]
-        fits = _fits(machine, y, _region_columns(chunk, iface.garbage_width), (1 << len(chunk)) - 1)
-        if fits:
-            hit = (fits & -fits).bit_length() - 1
-            start = _trial(machine, y, chunk[hit])
-            input_value = start.value_of(iface.input_lines)
-            unique = profile.per_output is not None
-            return InversionResult(input_value, done + hit + 1, "table", chunk[hit], unique)
+    hit = _first_fit(machine, y, configs[:in_range])
+    if hit >= 0:
+        start = _trial(machine, y, configs[hit])
+        input_value = start.value_of(iface.input_lines)
+        return InversionResult(input_value, hit + 1, "table", configs[hit], profile.per_output is not None)
     if in_range < len(configs):
         raise InvalidCircuitError(
             f"profile configuration {configs[in_range]} does not fit the "
@@ -210,13 +219,17 @@ def invert_blind(
         max_trials = 64 << k
     if max_trials < 1:
         raise ValueError("max_trials must be at least 1")
-    fit = _fit_table(machine, y)
-    size = min(len(fit), 1 << _CHUNK_BITS)
-    if "1" in fit:
+    # A budget short of 2^k runs its draws backward; a larger one reads them in a fit table.
+    fit = _fit_table(machine, y) if max_trials >= 1 << k else None
+    if fit is None or "1" in fit:
         rng = random.Random(seed)
+        size = min(1 << k, 1 << _CHUNK_BITS)
         for done in range(0, max_trials, size):
             draws = list(map(rng.getrandbits, repeat(k, min(size, max_trials - done))))
-            hit = "".join(map(fit.__getitem__, draws)).find("1")
+            if fit is None:
+                hit = _first_fit(machine, y, draws)
+            else:
+                hit = "".join(map(fit.__getitem__, draws)).find("1")
             if hit >= 0:
                 start = _trial(machine, y, draws[hit])
                 input_value = start.value_of(machine.iface.input_lines)

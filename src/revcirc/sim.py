@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from operator import lshift, or_
+from operator import itemgetter, lshift, or_
 from typing import Iterable, Sequence
 
 from .ir import Circuit, Gate, InvalidCircuitError, Machine
@@ -239,20 +239,15 @@ def _apply_gates(lines: list[int], gates: Iterable[Gate], full: int) -> None:
             lines[gate.target] ^= full
 
 
-def truth_table(machine: Machine, max_input_bits: int = EXHAUSTIVE_BOUND) -> FunctionTable:
-    """Materialize the machine's whole function by evaluating every input at once.
+def _final_lines(machine: Machine, max_input_bits: int) -> list[int]:
+    """Every line's final value on all inputs at once, bit-sliced: bit x is input x.
 
-    Bit-sliced: each line is one 2^n-bit integer whose bit x is the line's
-    value on input x, so a gate is one big-integer XOR (and AND) over all
-    rows. Also verifies that every line declared restored actually holds its
-    constant at the end; a violation means the interface lies, and the
-    witness is the lowest failing input (first listed line on a tie), as a
-    row-by-row scan would report it.
+    Refuses more than `max_input_bits` input bits. A restored line that misses its constant
+    raises `RestorationViolationError` at the lowest failing input, as a row scan would.
     """
     iface = machine.iface
-    n = iface.input_width
-    check_enumeration_bound(n, max_input_bits)
-    rows = 1 << n
+    check_enumeration_bound(iface.input_width, max_input_bits)
+    rows = 1 << iface.input_width
     full = (1 << rows) - 1
     lines = [0] * iface.width
     for i, line in enumerate(iface.input_lines):
@@ -261,20 +256,26 @@ def truth_table(machine: Machine, max_input_bits: int = EXHAUSTIVE_BOUND) -> Fun
         lines[line] = full if const else 0
     _apply_gates(lines, machine.circuit.gates, full)
 
-    violation = None
-    for line, const in iface.restored_lines:
-        mismatch = lines[line] ^ (full if const else 0)
-        if mismatch:
-            x = (mismatch & -mismatch).bit_length() - 1
-            if violation is None or x < violation[0]:
-                violation = (x, line, const)
-    if violation is not None:
-        x, line, const = violation
+    mismatches = ((lines[line] ^ (full if const else 0), line, const) for line, const in iface.restored_lines)
+    witnesses = [((m & -m).bit_length() - 1, line, const) for m, line, const in mismatches if m]
+    if witnesses:
+        x, line, const = min(witnesses, key=itemgetter(0))  # the first listed line on a tie
         raise RestorationViolationError(x, line, const, 1 - const)
+    return lines
 
+
+def truth_table(machine: Machine, max_input_bits: int = EXHAUSTIVE_BOUND) -> FunctionTable:
+    """Materialize the machine's whole function by evaluating every input at once.
+
+    The bit-sliced lines (`_final_lines`, which checks the bound and the
+    restored lines) are transposed into one output and garbage value per input.
+    """
+    iface = machine.iface
+    lines = _final_lines(machine, max_input_bits)
+    rows = 1 << iface.input_width
     outputs = _region_values([lines[line] for line in iface.output_lines], rows)
     garbage = _region_values([lines[line] for line in iface.garbage_lines], rows)
-    return FunctionTable(n, iface.output_width, outputs, garbage)
+    return FunctionTable(iface.input_width, iface.output_width, outputs, garbage)
 
 
 def is_injective(table: FunctionTable) -> bool:

@@ -16,6 +16,7 @@ onto zeroed lines, and (being self-inverse) erases one of two equal copies.
 """
 from __future__ import annotations
 
+from functools import reduce
 from typing import Sequence
 
 from .ir import (
@@ -173,9 +174,7 @@ def zero_garbage_compose(
         inverse(g_on_input),
         const_fix,
     ]
-    circuit = stages[0]
-    for stage in stages[1:]:
-        circuit = concat(circuit, stage)
+    circuit = reduce(concat, stages)
 
     iface = InterfaceSpec(
         width=width,

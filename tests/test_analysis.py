@@ -1,8 +1,12 @@
 """Garbage profiling, conformance reporting, and growth classification."""
 from __future__ import annotations
 
+from pathlib import Path
+from unittest import mock
+
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from revcirc import (
     Circuit,
@@ -11,21 +15,28 @@ from revcirc import (
     InsufficientPointsError,
     InterfaceSpec,
     Machine,
+    RestorationViolationError,
+    analysis,
     bennett,
     classify_growth,
     conformance,
     decrementer,
+    garbage_configs,
     garbage_profile,
     growth_report,
     incrementer,
     initial_state,
     make_gate,
     ripple_adder,
+    parse_circuit,
     run,
+    truth_table,
     zero_garbage_compose,
 )
 from revcirc.analysis import ClauseResult
 from conftest import machines
+
+GOLDEN = Path(__file__).resolve().parent.parent / "golden"
 
 
 def bit_reversal(n: int) -> Machine:
@@ -150,6 +161,64 @@ def reference_conformance(machine: Machine) -> ConformanceReport:
     return ConformanceReport("m", all(c.passed for c in clauses), tuple(clauses))
 
 
+def table_configs(machine: Machine, max_input_bits: int = 20) -> list[int]:
+    """The config set read off the transposed truth table: the oracle for `garbage_configs`."""
+    return sorted(set(truth_table(machine, max_input_bits).garbage))
+
+
+def config_outcome(configs_of, machine: Machine, *args):
+    """The config list, or the type, message and fields of the error raised."""
+    try:
+        return configs_of(machine, *args)
+    except RestorationViolationError as exc:
+        return type(exc), str(exc), exc.input_value, exc.line, exc.const, exc.held
+    except ExhaustiveBoundError as exc:
+        return type(exc), str(exc)
+
+
+class TestGarbageConfigs:
+    # Caps of 0, 2 and 4 masks send the split to the transpose after 0, 1 or 2 lines.
+    @given(machines(), st.sampled_from([analysis._MAX_SPLIT_CONFIGS, 0, 2, 4]))
+    def test_matches_truth_table(self, m, cap):
+        with mock.patch.object(analysis, "_MAX_SPLIT_CONFIGS", cap):
+            got = config_outcome(garbage_configs, m)
+        assert got == config_outcome(table_configs, m)
+
+    def test_roster_and_golden_files(self, roster):
+        machines_ = [m for _, m in roster]
+        machines_ += [parse_circuit(p.read_text()) for p in sorted(GOLDEN.glob("*.rvc"))]
+        for m in machines_:
+            assert garbage_configs(m) == table_configs(m)
+
+    @pytest.mark.parametrize(
+        "m", [incrementer(16), ripple_adder(8), bennett(incrementer(10))], ids=["incr16", "adder8", "bennett-incr10"]
+    )
+    def test_large_config_sets(self, m):
+        # bennett(incrementer(10)) keeps a copy of its input: 1024 configs, past the split's cap
+        assert garbage_configs(m) == table_configs(m)
+
+    def test_false_restoration_raises_like_truth_table(self):
+        # line 1 is declared restored, but the gate copies the input onto it
+        liar = parse_circuit("width 2\ninput 0\npreset 1=0\noutput 0\nrestored 1=0\ngate cx 0 1\n")
+        got = config_outcome(garbage_configs, liar)
+        assert got == config_outcome(table_configs, liar)
+        assert got[0] is RestorationViolationError and got[2:] == (1, 1, 0, 1)
+
+    def test_bound_refused_like_truth_table(self):
+        got = config_outcome(garbage_configs, incrementer(9), 8)
+        assert got == config_outcome(table_configs, incrementer(9), 8)
+        assert got[0] is ExhaustiveBoundError
+
+    def test_growth_counts_match_profiles(self):
+        for family, sizes in ((incrementer, range(2, 9)), (ripple_adder, range(1, 6)), (bennett_incr, range(2, 7))):
+            rep = growth_report(family, sizes)
+            assert rep.points == tuple((n, garbage_profile(family(n)).config_count) for n in sizes)
+
+
+def bennett_incr(n: int) -> Machine:
+    return bennett(incrementer(n))
+
+
 class TestGrowth:
     def test_incrementer_family_linear(self):
         rep = growth_report(incrementer, range(2, 11), family_name="incr")
@@ -171,6 +240,7 @@ class TestGrowth:
             raise AssertionError("growth_report enumerated before checking the bound")
 
         monkeypatch.setattr("revcirc.analysis.truth_table", enumerate_nothing)
+        monkeypatch.setattr("revcirc.analysis._final_lines", enumerate_nothing)
         # ripple_adder(11) has 22 input bits; sizes 2..10 fit the default bound
         with pytest.raises(ExhaustiveBoundError, match="input region has 22 bits"):
             growth_report(ripple_adder, range(2, 12))

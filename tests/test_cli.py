@@ -1,17 +1,27 @@
 """CLI commands, JSON reports, and documented exit codes."""
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import revcirc
-from revcirc import parse_circuit, truth_table
-from revcirc.cli import main
+from revcirc import cli, incrementer, initial_state, parse_circuit, ripple_adder, run, serialize, truth_table
+from revcirc.cli import _dumps, _int_to_bits, main
+
+from conftest import machines, small_machine_roster
+
+GOLDEN = Path(__file__).resolve().parent.parent / "golden"
 
 
 @pytest.fixture()
@@ -245,3 +255,138 @@ def test_module_entry_point_smoke(tmp_path):
     )
     assert proc.returncode == 0
     assert "output: 10" in proc.stdout
+
+
+def old_int_to_bits(value: int, width: int) -> str:
+    """The per-bit join `_int_to_bits` replaced, kept as its oracle."""
+    return "".join(str((value >> i) & 1) for i in range(width))
+
+
+@given(st.integers(0, 70).flatmap(lambda w: st.tuples(st.integers(0, (1 << w) - 1), st.just(w))))
+def test_int_to_bits_matches_per_bit_join(case):
+    value, width = case
+    assert _int_to_bits(value, width) == old_int_to_bits(value, width)
+
+
+_INTS = st.integers() | st.integers(-(10**100), 10**100)
+_KEYS = st.sampled_from(["", "%", "%d", "a%%b", "caf\u00e9", "\x00\n\""]) | st.text(max_size=6)
+_SCALARS = st.none() | st.booleans() | _INTS | st.floats() | st.text(max_size=8)
+# Lists of dicts that share one key tuple and hold only ints: the shape of a table's rows.
+_INT_ROWS = st.lists(_KEYS, unique=True, max_size=4).flatmap(
+    lambda keys: st.lists(st.fixed_dictionaries({k: _INTS for k in keys}), max_size=4)
+)
+_JSON = st.recursive(
+    _SCALARS,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.dictionaries(_KEYS, children, max_size=4)
+        | st.lists(_INTS, max_size=6)
+        | st.dictionaries(_KEYS, _INTS, max_size=6)
+        | st.lists(st.dictionaries(_KEYS, _INTS | st.booleans(), max_size=3), max_size=4)
+        | _INT_ROWS
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=500)
+@given(_JSON)
+def test_dumps_matches_json_indent_2(value):
+    assert _dumps(value, "") == json.dumps(value, indent=2)
+
+
+def json_argvs(machine, path: Path, out: Path) -> list[list[str]]:
+    """Every machine-reading command with --json, with arguments valid for `machine`."""
+    iface = machine.iface
+    y = run(machine.circuit, initial_state(machine, 0)).value_of(iface.output_lines)
+    p = str(path)
+    argvs = [
+        ["sim", "-c", p, "--int", "0"],
+        ["sim", "-c", p, "-x", "0" * iface.width, "--backward"],
+        ["table", "-c", p],
+        ["profile", "-c", p],
+        ["invert", "-c", p, "--int", str(y)],
+        ["invert", "-c", p, "--int", str(y), "--blind", "--seed", "1"],
+        ["inverse", "-c", p, "-o", str(out)],
+        ["bennett", "-c", p, "-o", str(out)],
+    ]
+    return [argv + ["--json"] for argv in argvs]
+
+
+def run_captured(argv: list[str]) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def assert_json_form(out: str) -> None:
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+def emitted_reports(argvs: list[list[str]]) -> list[tuple[int, str, list[dict]]]:
+    """(exit code, stdout, reports passed to `_emit`) for each command."""
+    results = []
+    for argv in argvs:
+        reports: list[dict] = []
+        emit = cli._emit
+        with mock.patch.object(cli, "_emit", lambda r, *a: (reports.append(r), emit(r, *a))):
+            code, out = run_captured(argv)
+        results.append((code, out, reports))
+    return results
+
+
+def check_machine_reports(machine) -> int:
+    """Run every --json command on `machine`; check writer and byte form; count reports."""
+    count = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.rvc"
+        path.write_text(serialize(machine))
+        for code, out, reports in emitted_reports(json_argvs(machine, path, Path(tmp) / "o.rvc")):
+            for report in reports:
+                assert _dumps(report, "") == json.dumps(report, indent=2)
+                count += 1
+            if out:
+                assert_json_form(out)
+    return count
+
+
+class TestJsonForm:
+    """Every --json report is exactly `json.dumps(..., indent=2)` text plus a newline."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(machines())
+    def test_reports_on_generated_machines(self, m):
+        assert check_machine_reports(m) >= 2  # both sim directions always report
+
+    def test_reports_on_roster(self):
+        for name, m in small_machine_roster():
+            assert check_machine_reports(m) == 8, name
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.glob("*.rvc")))
+    def test_reports_on_golden_files(self, name):
+        assert check_machine_reports(parse_circuit((GOLDEN / name).read_text())) == 8
+
+    @pytest.mark.parametrize(
+        "family,n",
+        [(incrementer, 2), (incrementer, 6), (incrementer, 12), (ripple_adder, 1), (ripple_adder, 4), (ripple_adder, 7)],
+    )
+    def test_reports_on_library_sizes(self, family, n):
+        assert check_machine_reports(family(n)) == 8
+
+    def test_growth_gen_and_compose(self, tmp_path):
+        incr, decr = str(tmp_path / "i.rvc"), str(tmp_path / "d.rvc")
+        argvs = [
+            ["growth", "--family", "incr", "--from", "2", "--to", "13"],
+            ["growth", "--family", "adder", "--from", "2", "--to", "7"],
+            ["gen", "incr", "--bits", "4", "-o", incr],
+            ["gen", "decr", "--bits", "4", "-o", decr],
+            ["gen", "add", "--bits", "3", "-o", str(tmp_path / "a.rvc")],
+            ["zg-compose", "--forward", incr, "--inverse", decr, "-o", str(tmp_path / "z.rvc")],
+            ["zg-compose", "--forward", str(GOLDEN / "incrementer_3.rvc"),
+             "--inverse", str(GOLDEN / "decrementer_3.rvc"), "-o", str(tmp_path / "g.rvc")],
+        ]
+        for (code, out, reports), argv in zip(emitted_reports([a + ["--json"] for a in argvs]), argvs):
+            assert code == 0, argv
+            assert_json_form(out)
+            assert [_dumps(r, "") + "\n" for r in reports] == [out]

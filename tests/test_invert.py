@@ -368,3 +368,25 @@ class TestBlockSearch:
         assert exc.value.trials == budget
         assert (r.input_value, r.matched_config, r.trials) == (12345, 12345, first_draw)
         assert peak < 4 << 20
+
+    def test_budget_below_two_to_the_k_costs_only_its_draws(self):
+        # 1000 trials against 2^24 garbage values: the draws run backward
+        # themselves, so neither time nor memory grows with 2^k. Nothing fits
+        # y = 2^24, and y = the 500th draw of seed 0 is a hit.
+        k = 24
+        m = copy_machine(k, 49)
+        rng = random.Random(0)
+        draws = [rng.getrandbits(k) for _ in range(500)]
+        tracemalloc.start()
+        try:
+            with pytest.raises(TrialBudgetExceededError, match="in 1000 trials") as exc:
+                invert_blind(m, 1 << k, seed=0, max_trials=1000, max_garbage_bits=k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc.value.trials == 1000
+        assert peak < 1 << 20
+        r = invert_blind(m, draws[-1], seed=0, max_trials=1000, max_garbage_bits=k)
+        first = draws.index(draws[-1]) + 1
+        assert (r.input_value, r.matched_config, r.trials) == (draws[-1], draws[-1], first)
+        assert r == reference_invert_blind(m, draws[-1], 0, max_trials=1000)
