@@ -7,9 +7,10 @@ whose cannot, so the profiler is deliberately exact and the growth report is
 explicitly labeled as an empirical desk-scale classification, never a
 verdict about asymptotics.
 
-`growth_report` counts configurations by splitting the input mask by garbage
-column (`garbage_configs`), with no per-row table; `garbage_profile` builds
-one, because its report carries the per-output map.
+`growth_report` counts configurations by splitting each chunk's input mask
+by garbage column (`garbage_configs`), with no per-row table, so its memory
+is bounded by the chunk, not by 2^n; `garbage_profile` builds the table,
+because its report carries the per-output map.
 """
 from __future__ import annotations
 
@@ -29,7 +30,9 @@ from .sim import (
 )
 from .sim import _final_lines, _region_values
 
-# garbage_configs holds one 2^n-bit row mask per configuration, at most this many.
+# garbage_configs splits at most this many row masks per chunk, then transposes
+# the chunk instead: the split costs two ANDs per mask and garbage line, so a
+# chunk reaching thousands of configurations is faster to transpose.
 _MAX_SPLIT_CONFIGS = 512
 
 
@@ -183,22 +186,26 @@ def garbage_profile(
 def garbage_configs(machine: Machine, max_input_bits: int = EXHAUSTIVE_BOUND) -> list[int]:
     """The sorted reachable garbage configurations, without a per-row table; raises as `truth_table`.
 
-    Each configuration keeps the mask of the inputs reaching it, and each garbage line splits
-    every mask by its 0 and 1 rows. Past `_MAX_SPLIT_CONFIGS` masks it transposes instead.
+    In each chunk of inputs, each configuration keeps the mask of the inputs reaching it, and each
+    garbage line splits every mask by its 0 and 1 rows. Past `_MAX_SPLIT_CONFIGS` masks it transposes
+    the chunk instead. The result is the union over the chunks.
     """
-    lines = _final_lines(machine, max_input_bits)
-    rows = 1 << machine.iface.input_width
-    columns = [lines[line] for line in machine.iface.garbage_lines]
-    masks = {0: (1 << rows) - 1}
-    for bit, column in enumerate(columns):
-        if len(masks) > _MAX_SPLIT_CONFIGS // 2:
-            return sorted(set(_region_values(columns, rows)))
-        split = {}
-        while masks:  # popped, so a mask is freed once split
-            config, mask = masks.popitem()
-            split[config | 1 << bit], split[config] = mask & column, mask & ~column
-        masks = {config: mask for config, mask in split.items() if mask}
-    return sorted(masks)
+    configs: set[int] = set()
+    for full, lines in _final_lines(machine, max_input_bits):
+        columns = [lines[line] for line in machine.iface.garbage_lines]
+        masks = {0: full}
+        for bit, column in enumerate(columns):
+            if len(masks) > _MAX_SPLIT_CONFIGS // 2:
+                configs.update(_region_values(columns, full.bit_length()))
+                break
+            split = {}
+            while masks:  # popped, so a mask is freed once split
+                config, mask = masks.popitem()
+                split[config | 1 << bit], split[config] = mask & column, mask & ~column
+            masks = {config: mask for config, mask in split.items() if mask}
+        else:
+            configs.update(masks)
+    return sorted(configs)
 
 
 def conformance(
@@ -214,7 +221,8 @@ def conformance(
     """
     violation = None
     try:
-        _final_lines(machine, max_input_bits)
+        for _ in _final_lines(machine, max_input_bits):
+            pass
     except RestorationViolationError as exc:
         violation = exc
     return ConformanceReport.from_outcome(machine, machine_id(machine, label), violation)

@@ -17,11 +17,12 @@ Both inverters test guesses by bit-sliced backward runs, as `truth_table`
 runs inputs forward: each line is one integer with a bit per guess, so a gate
 costs one big-integer operation for all of them. `invert_blind` runs at most
 min(budget, 2^k) values backward: a budget of 2^k or more runs all 2^k values
-once, in chunks, for the set that fits, and reads the seeded `getrandbits(k)`
-draws against it (an empty set ends the search before any draw); a smaller
-budget runs its draws themselves, a chunk at a time. Trials count single
-guesses. Only the accepted guess runs on single states: backward, and forward
-again to confirm it.
+once, over `sim._domain(k)`, for the set that fits, and reads the seeded
+`getrandbits(k)` draws against it (an empty set ends the search before any
+draw); a smaller budget runs its draws themselves. Every pass and scan holds
+at most 2^`sim._CHUNK_BITS` values, the bound every enumeration shares.
+Trials count single guesses. Only the accepted guess runs on single states:
+backward, and forward again to confirm it.
 """
 from __future__ import annotations
 
@@ -31,13 +32,10 @@ from itertools import repeat
 from typing import Sequence
 
 from .ir import InvalidCircuitError, Machine
+from . import sim
 from .sim import EXHAUSTIVE_BOUND, BitState, ExhaustiveBoundError, run
-from .sim import _apply_gates, _input_column, _region_columns
+from .sim import _apply_gates, _region_columns
 from .analysis import GarbageProfile
-
-# A backward pass covers at most 2^14 garbage values and a scan at most 2^14
-# draws: a line is then at most 2 KiB, and one scan's draws about 0.6 MiB.
-_CHUNK_BITS = 14
 
 
 class InversionError(Exception):
@@ -110,24 +108,17 @@ def _fits(machine: Machine, y: int, garbage_columns: list[int], full: int) -> in
 def _fit_table(machine: Machine, y: int) -> str:
     """Character g is "1" iff garbage value g fits output `y`, for all 2^k values.
 
-    They run backward in chunks of 2^min(k, _CHUNK_BITS) values: the low garbage
-    lines are input columns over the chunk, and its index sets the lines above.
+    They run backward a `sim._domain` chunk at a time, in ascending order.
     """
-    k = machine.iface.garbage_width
-    bits = min(k, _CHUNK_BITS)
-    size = 1 << bits
-    full = (1 << size) - 1
-    low = [_input_column(i, size) for i in range(bits)]
-    pieces = []
-    for chunk in range(1 << (k - bits)):
-        high = [full if chunk >> i & 1 else 0 for i in range(k - bits)]
-        pieces.append(format(_fits(machine, y, low + high, full), f"0{size}b")[::-1])
-    return "".join(pieces)
+    return "".join(
+        format(_fits(machine, y, columns, full), f"0{full.bit_length()}b")[::-1]
+        for full, columns in sim._domain(machine.iface.garbage_width)
+    )
 
 
 def _first_fit(machine: Machine, y: int, guesses: Sequence[int]) -> int:
-    """Index of the first guess that fits, or -1; runs 2^_CHUNK_BITS guesses back at a time."""
-    size = 1 << _CHUNK_BITS
+    """Index of the first guess that fits, or -1; runs 2^sim._CHUNK_BITS guesses back at a time."""
+    size = 1 << sim._CHUNK_BITS
     k = machine.iface.garbage_width
     for done in range(0, len(guesses), size):
         chunk = guesses[done : done + size]
@@ -223,7 +214,7 @@ def invert_blind(
     fit = _fit_table(machine, y) if max_trials >= 1 << k else None
     if fit is None or "1" in fit:
         rng = random.Random(seed)
-        size = min(1 << k, 1 << _CHUNK_BITS)
+        size = min(1 << k, 1 << sim._CHUNK_BITS)
         for done in range(0, max_trials, size):
             draws = list(map(rng.getrandbits, repeat(k, min(size, max_trials - done))))
             if fit is None:

@@ -6,24 +6,31 @@ reversed). `run` and `BitState` are the public single-state API and the
 oracle the tests hold the table against.
 
 All whole-function claims are checked by enumerating the input space.
-`truth_table` does that bit-sliced: each line is one 2^n-bit integer holding
-its value on every input, so a gate costs one big-integer operation over the
-whole table. Enumeration is refused above a configurable bound so
-exponential work never happens by accident.
+`truth_table` does that bit-sliced: each line is one integer holding its
+value on every input of a chunk, so a gate costs one big-integer operation
+over the chunk. Every enumeration of 2^b values, inputs run forward here and
+garbage values run backward in `invert`, walks `_domain(b)`: chunks of at
+most 2^`_CHUNK_BITS` values in ascending order, so its memory does not grow
+with b. Enumeration is refused above a configurable bound so exponential
+work never happens by accident.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
 from operator import itemgetter, lshift, or_
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .ir import Circuit, Gate, InvalidCircuitError, Machine
 
 # Largest input region truth_table and friends will enumerate by default.
-# 2^20 rows takes a few seconds and holds each line in 128 KiB; anything
-# wider must be an explicit choice.
+# 2^20 rows takes about a second; anything wider must be an explicit choice.
 EXHAUSTIVE_BOUND = 20
+
+# A bit-sliced pass covers at most 2^14 values, whether inputs forward or
+# garbage values and draws backward: a line is then at most 2 KiB, and one
+# scan of draws about 0.6 MiB.
+_CHUNK_BITS = 14
 
 
 class ExhaustiveBoundError(ValueError):
@@ -177,6 +184,21 @@ def _input_column(i: int, rows: int) -> int:
     return column
 
 
+def _domain(bits: int) -> Iterator[tuple[int, list[int]]]:
+    """All 2^`bits` values bit-sliced, in ascending chunks of 2^min(bits, _CHUNK_BITS).
+
+    Yields ``(full, columns)`` per chunk: bit j of column i is bit i of the
+    chunk's j-th value, and `full` has a bit set per value. The low columns
+    are input columns over the chunk, and its index sets the columns above.
+    """
+    low = min(bits, _CHUNK_BITS)
+    size = 1 << low
+    full = (1 << size) - 1
+    counting = [_input_column(i, size) for i in range(low)]
+    for chunk in range(1 << (bits - low)):
+        yield full, counting + [full if chunk >> i & 1 else 0 for i in range(bits - low)]
+
+
 # _BYTE_OF_BIT[j] maps the ASCII digits "0"/"1" to the bytes 0 and 1 << j.
 _BYTE_OF_BIT = [bytes.maketrans(b"01", bytes((0, 1 << j))) for j in range(8)]
 
@@ -239,42 +261,44 @@ def _apply_gates(lines: list[int], gates: Iterable[Gate], full: int) -> None:
             lines[gate.target] ^= full
 
 
-def _final_lines(machine: Machine, max_input_bits: int) -> list[int]:
-    """Every line's final value on all inputs at once, bit-sliced: bit x is input x.
+def _final_lines(machine: Machine, max_input_bits: int) -> Iterator[tuple[int, list[int]]]:
+    """Every line's final value, bit-sliced, on each `_domain` chunk of inputs in turn.
 
-    Refuses more than `max_input_bits` input bits. A restored line that misses its constant
-    raises `RestorationViolationError` at the lowest failing input, as a row scan would.
+    Yields ``(full, lines)`` per chunk, bit j of each line being the chunk's
+    j-th input. Refuses more than `max_input_bits` input bits before the first
+    chunk. A restored line that misses its constant raises
+    `RestorationViolationError` at the lowest failing input, as a row scan would.
     """
     iface = machine.iface
     check_enumeration_bound(iface.input_width, max_input_bits)
-    rows = 1 << iface.input_width
-    full = (1 << rows) - 1
-    lines = [0] * iface.width
-    for i, line in enumerate(iface.input_lines):
-        lines[line] = _input_column(i, rows)
-    for line, const in iface.preset_lines:
-        lines[line] = full if const else 0
-    _apply_gates(lines, machine.circuit.gates, full)
-
-    mismatches = ((lines[line] ^ (full if const else 0), line, const) for line, const in iface.restored_lines)
-    witnesses = [((m & -m).bit_length() - 1, line, const) for m, line, const in mismatches if m]
-    if witnesses:
-        x, line, const = min(witnesses, key=itemgetter(0))  # the first listed line on a tie
-        raise RestorationViolationError(x, line, const, 1 - const)
-    return lines
+    for chunk, (full, columns) in enumerate(_domain(iface.input_width)):
+        lines = [0] * iface.width
+        for line, column in zip(iface.input_lines, columns):
+            lines[line] = column
+        for line, const in iface.preset_lines:
+            lines[line] = full if const else 0
+        _apply_gates(lines, machine.circuit.gates, full)
+        mismatches = ((lines[line] ^ (full if const else 0), line, const) for line, const in iface.restored_lines)
+        base = chunk * full.bit_length()  # the chunk's first input
+        witnesses = [(base + (m & -m).bit_length() - 1, line, const) for m, line, const in mismatches if m]
+        if witnesses:
+            x, line, const = min(witnesses, key=itemgetter(0))  # the first listed line on a tie
+            raise RestorationViolationError(x, line, const, 1 - const)
+        yield full, lines
 
 
 def truth_table(machine: Machine, max_input_bits: int = EXHAUSTIVE_BOUND) -> FunctionTable:
-    """Materialize the machine's whole function by evaluating every input at once.
+    """Materialize the machine's whole function, evaluating a chunk of inputs at once.
 
-    The bit-sliced lines (`_final_lines`, which checks the bound and the
-    restored lines) are transposed into one output and garbage value per input.
+    Each chunk's bit-sliced lines (`_final_lines`, which checks the bound and
+    the restored lines) are transposed into one output and garbage value per input.
     """
     iface = machine.iface
-    lines = _final_lines(machine, max_input_bits)
-    rows = 1 << iface.input_width
-    outputs = _region_values([lines[line] for line in iface.output_lines], rows)
-    garbage = _region_values([lines[line] for line in iface.garbage_lines], rows)
+    outputs: list[int] = []
+    garbage: list[int] = []
+    for full, lines in _final_lines(machine, max_input_bits):
+        outputs += _region_values([lines[line] for line in iface.output_lines], full.bit_length())
+        garbage += _region_values([lines[line] for line in iface.garbage_lines], full.bit_length())
     return FunctionTable(iface.input_width, iface.output_width, outputs, garbage)
 
 

@@ -13,6 +13,7 @@ from revcirc import (
     bennett,
     decrementer,
     incrementer,
+    parse_circuit,
     ripple_adder,
     zero_garbage_compose,
 )
@@ -62,6 +63,19 @@ def machines(draw, max_width: int = 6, max_gates: int = 10):
         restored_lines=restored,
     )
     return Machine(circuit, iface)
+
+
+def late_liar(tie: bool = False) -> Machine:
+    """Inputs on lines 0-2; lines 4 and 3, in that order, declared restored to 0.
+
+    Line 3 first fails at input 5 and line 4 at input 6, or at 5 too on a tie,
+    so the first violation lies past the first chunk at chunk bits 0, 1 and 2.
+    """
+    second = "0 2" if tie else "1 2"
+    return parse_circuit(
+        "width 5\ninput 0 1 2\npreset 3=0 4=0\noutput 0 1\ngarbage 2\nrestored 4=0 3=0\n"
+        f"gate ccx 0 2 3\ngate ccx {second} 4\n"
+    )
 
 
 def small_machine_roster() -> list[tuple[str, Machine]]:

@@ -1,6 +1,7 @@
 """Garbage profiling, conformance reporting, and growth classification."""
 from __future__ import annotations
 
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -30,11 +31,12 @@ from revcirc import (
     ripple_adder,
     parse_circuit,
     run,
+    sim,
     truth_table,
     zero_garbage_compose,
 )
 from revcirc.analysis import ClauseResult
-from conftest import machines
+from conftest import late_liar, machines
 
 GOLDEN = Path(__file__).resolve().parent.parent / "golden"
 
@@ -127,10 +129,33 @@ class TestConformance:
         assert clause.passed is False
         assert clause.witness == 1  # input 1 copies a 1 onto the "restored" line
 
-    @given(machines())
-    def test_matches_per_row_reference(self, m):
+    @given(machines(), st.sampled_from([sim._CHUNK_BITS, 0, 1, 2]))
+    def test_matches_per_row_reference(self, m, chunk_bits):
         # machines() may declare restored lines falsely, so both verdicts occur
-        assert conformance(m, label="m") == reference_conformance(m)
+        with mock.patch.object(sim, "_CHUNK_BITS", chunk_bits):
+            rep = conformance(m, label="m")
+        assert rep == reference_conformance(m)
+
+    @pytest.mark.parametrize("chunk_bits", [sim._CHUNK_BITS, 0, 1, 2])
+    @pytest.mark.parametrize("tie,line", [(False, 3), (True, 4)])
+    def test_violation_past_the_first_chunk(self, monkeypatch, chunk_bits, tie, line):
+        m = late_liar(tie)
+        monkeypatch.setattr(sim, "_CHUNK_BITS", chunk_bits)
+        rep = conformance(m, label="m")
+        assert rep == reference_conformance(m)
+        assert rep.clauses[-1] == ClauseResult("restored-constants", False, 5, f"line {line} should hold 0 but holds 1")
+
+    def test_memory_is_bounded_by_the_chunk(self):
+        # 20 input bits: the whole-table lines would take 128 KiB each
+        m = ripple_adder(10)
+        tracemalloc.start()
+        try:
+            rep = conformance(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.passed
+        assert peak < 1 << 20
 
 
 def reference_conformance(machine: Machine) -> ConformanceReport:
@@ -178,9 +203,13 @@ def config_outcome(configs_of, machine: Machine, *args):
 
 class TestGarbageConfigs:
     # Caps of 0, 2 and 4 masks send the split to the transpose after 0, 1 or 2 lines.
-    @given(machines(), st.sampled_from([analysis._MAX_SPLIT_CONFIGS, 0, 2, 4]))
-    def test_matches_truth_table(self, m, cap):
-        with mock.patch.object(analysis, "_MAX_SPLIT_CONFIGS", cap):
+    @given(
+        machines(),
+        st.sampled_from([analysis._MAX_SPLIT_CONFIGS, 0, 2, 4]),
+        st.sampled_from([sim._CHUNK_BITS, 0, 1, 2]),
+    )
+    def test_matches_truth_table(self, m, cap, chunk_bits):
+        with mock.patch.object(analysis, "_MAX_SPLIT_CONFIGS", cap), mock.patch.object(sim, "_CHUNK_BITS", chunk_bits):
             got = config_outcome(garbage_configs, m)
         assert got == config_outcome(table_configs, m)
 
@@ -196,6 +225,36 @@ class TestGarbageConfigs:
     def test_large_config_sets(self, m):
         # bennett(incrementer(10)) keeps a copy of its input: 1024 configs, past the split's cap
         assert garbage_configs(m) == table_configs(m)
+
+    @pytest.mark.parametrize(
+        "m", [ripple_adder(8), bennett(incrementer(10))], ids=["adder8", "bennett-incr10"]
+    )
+    def test_large_config_sets_in_chunks(self, monkeypatch, m):
+        # chunks of 2^9 inputs; each of bennett(incrementer(10))'s two reaches 512 configs and is transposed
+        want = table_configs(m)
+        monkeypatch.setattr(sim, "_CHUNK_BITS", 9)
+        assert garbage_configs(m) == want
+
+    @pytest.mark.parametrize("chunk_bits", [sim._CHUNK_BITS, 0, 1, 2])
+    @pytest.mark.parametrize("tie", [False, True])
+    def test_violation_past_the_first_chunk(self, monkeypatch, chunk_bits, tie):
+        m = late_liar(tie)
+        want = config_outcome(table_configs, m)
+        monkeypatch.setattr(sim, "_CHUNK_BITS", chunk_bits)
+        assert config_outcome(garbage_configs, m) == want
+        assert want[0] is RestorationViolationError and want[2] == 5
+
+    def test_memory_is_bounded_by_the_chunk(self):
+        # 512 configs over 20 input bits: one 2^20-bit mask per config would take 64 MiB
+        m = ripple_adder(10)
+        tracemalloc.start()
+        try:
+            configs = garbage_configs(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(configs) == 512
+        assert peak < 2 << 20
 
     def test_false_restoration_raises_like_truth_table(self):
         # line 1 is declared restored, but the gate copies the input onto it

@@ -33,7 +33,7 @@ from revcirc import (
     truth_table,
     zero_garbage_compose,
 )
-from revcirc import invert
+from revcirc import invert, sim
 
 from conftest import machines
 
@@ -270,8 +270,8 @@ class TestBlockSearch:
         y = data.draw(st.integers(0, (1 << m.iface.output_width) - 1))
         seed = data.draw(st.integers(0, 2**64))
         max_trials = data.draw(st.sampled_from([None, *budget_edges(m)]))
-        chunk_bits = data.draw(st.sampled_from([invert._CHUNK_BITS, 0, 1, 2]))
-        with mock.patch.object(invert, "_CHUNK_BITS", chunk_bits):
+        chunk_bits = data.draw(st.sampled_from([sim._CHUNK_BITS, 0, 1, 2]))
+        with mock.patch.object(sim, "_CHUNK_BITS", chunk_bits):
             got = outcome(invert_blind, m, y, seed, max_trials)
         assert got == outcome(reference_invert_blind, m, y, seed, max_trials)
 
@@ -293,7 +293,7 @@ class TestBlockSearch:
     def test_small_chunks_match_reference(self, monkeypatch, chunk_bits):
         m = ripple_adder(6)
         assert m.iface.garbage_width == 5
-        monkeypatch.setattr(invert, "_CHUNK_BITS", chunk_bits)
+        monkeypatch.setattr(sim, "_CHUNK_BITS", chunk_bits)
         p = garbage_profile(m)
         for seed in range(40):
             y = (seed * 37) % (1 << m.iface.output_width)
@@ -312,8 +312,8 @@ class TestBlockSearch:
         configs = data.draw(st.lists(st.integers(-2, (1 << k) + 1), min_size=1, max_size=80))
         per_output = data.draw(st.sampled_from([None, {}]))
         p = GarbageProfile("m", iface.input_width, k, tuple(configs), per_output)
-        chunk_bits = data.draw(st.sampled_from([invert._CHUNK_BITS, 0, 1, 2]))
-        with mock.patch.object(invert, "_CHUNK_BITS", chunk_bits):
+        chunk_bits = data.draw(st.sampled_from([sim._CHUNK_BITS, 0, 1, 2]))
+        with mock.patch.object(sim, "_CHUNK_BITS", chunk_bits):
             got = outcome(invert_with_profile, m, y, p)
         assert got == outcome(reference_invert_with_profile, m, y, p)
 

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -30,11 +31,12 @@ from revcirc import (
     parse_circuit,
     ripple_adder,
     run,
+    sim,
     step,
     truth_table,
     zero_garbage_compose,
 )
-from conftest import circuits, machines
+from conftest import circuits, late_liar, machines
 
 GOLDEN = Path(__file__).resolve().parent.parent / "golden"
 
@@ -207,11 +209,11 @@ def reference_truth_table(machine: Machine) -> FunctionTable:
 
 
 def outcome(tabulate, machine: Machine):
-    """The table, or the (input_value, line, const, held) of the violation raised."""
+    """The table, or the type, message, input_value, line, const and held of the violation raised."""
     try:
         return tabulate(machine)
     except RestorationViolationError as exc:
-        return (exc.input_value, exc.line, exc.const, exc.held)
+        return type(exc), str(exc), exc.input_value, exc.line, exc.const, exc.held
 
 
 def library_machine(name: str, n: int) -> Machine:
@@ -248,10 +250,12 @@ def lying_machine(gates, restored) -> Machine:
 
 
 class TestBitSlicedTable:
-    @given(machines())
-    def test_matches_per_row_reference(self, m):
+    @given(machines(), st.sampled_from([sim._CHUNK_BITS, 0, 1, 2]))
+    def test_matches_per_row_reference(self, m, chunk_bits):
         # machines() may declare restored lines falsely, so violations occur too
-        assert outcome(truth_table, m) == outcome(reference_truth_table, m)
+        with mock.patch.object(sim, "_CHUNK_BITS", chunk_bits):
+            got = outcome(truth_table, m)
+        assert got == outcome(reference_truth_table, m)
 
     @pytest.mark.parametrize("name,n", LIBRARY_ROSTER, ids=[f"{a}({n})" for a, n in LIBRARY_ROSTER])
     def test_library_roster(self, name, n):
@@ -298,7 +302,7 @@ class TestBitSlicedTable:
         assert (t.outputs, t.garbage) == ((1,), (1,))
         assert t == reference_truth_table(m)
         liar = Machine(Circuit(3, (make_gate("x", [], 2),)), iface)
-        assert outcome(truth_table, liar) == (0, 2, 1, 0)
+        assert outcome(truth_table, liar)[2:] == (0, 2, 1, 0)
         assert outcome(truth_table, liar) == outcome(reference_truth_table, liar)
 
     @pytest.mark.parametrize("region", ["output", "garbage"])
@@ -331,6 +335,24 @@ class TestBitSlicedTable:
         assert t == reference_truth_table(m)
         assert max(t.outputs) >= 1 << 16
 
+    @pytest.mark.parametrize("chunk_bits", [sim._CHUNK_BITS, 0, 1, 2])
+    @pytest.mark.parametrize("tie,fields", [(False, (5, 3, 0, 1)), (True, (5, 4, 0, 1))])
+    def test_violation_past_the_first_chunk(self, monkeypatch, chunk_bits, tie, fields):
+        m = late_liar(tie)
+        monkeypatch.setattr(sim, "_CHUNK_BITS", chunk_bits)
+        got = outcome(truth_table, m)
+        assert got == outcome(reference_truth_table, m)
+        assert got[2:] == fields
+
+    @pytest.mark.parametrize("chunk_bits", [0, 1, 3])
+    @pytest.mark.parametrize(
+        "m", [incrementer(7), ripple_adder(3), bennett(incrementer(4))], ids=["incr7", "adder3", "bennett-incr4"]
+    )
+    def test_chunks_join_into_the_whole_table(self, monkeypatch, m, chunk_bits):
+        whole = truth_table(m)
+        monkeypatch.setattr(sim, "_CHUNK_BITS", chunk_bits)
+        assert truth_table(m) == whole == reference_truth_table(m)
+
     def test_spot_check_at_the_bound(self):
         # the differential tests stop at n = 10; this reaches the default bound
         n = EXHAUSTIVE_BOUND
@@ -342,6 +364,18 @@ class TestBitSlicedTable:
             final = run(m.circuit, initial_state(m, x))
             expected = (final.value_of(m.iface.output_lines), final.value_of(m.iface.garbage_lines))
             assert (t.outputs[x], t.garbage[x]) == expected, x
+
+
+@pytest.mark.parametrize("chunk_bits", [sim._CHUNK_BITS, 0, 1, 2, 3])
+def test_domain_counts_up_in_chunks(monkeypatch, chunk_bits):
+    monkeypatch.setattr(sim, "_CHUNK_BITS", chunk_bits)
+    for bits in range(7):
+        values = []
+        for full, columns in sim._domain(bits):
+            assert full == (1 << (1 << min(bits, chunk_bits))) - 1
+            assert len(columns) == bits
+            values += sim._region_values(columns, full.bit_length())
+        assert values == list(range(1 << bits))
 
 
 def test_import_does_not_load_numpy():
