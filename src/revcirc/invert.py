@@ -1,6 +1,6 @@
 """Recover an input from an output by running the machine backward.
 
-A backward run needs the whole final state, and the only unknown part is the
+A backward pass needs the whole final state, and the only unknown part is the
 garbage region. Two strategies for supplying it:
 
 * `invert_with_profile` walks the known reachable configurations in
@@ -9,7 +9,7 @@ garbage region. Two strategies for supplying it:
   bits the expected trial count is 2^k, which is the whole point of garbage
   as a defense.
 
-A guess is accepted exactly when the backward run lands every preset line on
+A guess is accepted exactly when the backward pass lands every preset line on
 its declared constant; reversibility then guarantees the recovered input
 really maps to the requested output.
 
@@ -21,8 +21,8 @@ once, over `sim._domain(k)`, for the set that fits, and reads the seeded
 `getrandbits(k)` draws against it (an empty set ends the search before any
 draw); a smaller budget runs its draws themselves. Every pass and scan holds
 at most 2^`sim._CHUNK_BITS` values, the bound every enumeration shares.
-Trials count single guesses. Only the accepted guess runs on single states:
-backward, and forward again to confirm it.
+Trials count single guesses. The accepted guess's input is read from a
+one-lane call of the same backward pass; nothing runs on single states.
 """
 from __future__ import annotations
 
@@ -33,8 +33,8 @@ from typing import Sequence
 
 from .ir import InvalidCircuitError, Machine
 from . import sim
-from .sim import EXHAUSTIVE_BOUND, BitState, ExhaustiveBoundError, run
-from .sim import _apply_gates, _region_columns
+from .sim import EXHAUSTIVE_BOUND, ExhaustiveBoundError
+from .sim import _apply_gates, _region_columns, _region_values
 from .analysis import GarbageProfile
 
 
@@ -43,7 +43,7 @@ class InversionError(Exception):
 
 
 class NoMatchingConfigError(InversionError):
-    """No profiled garbage configuration produced a consistent backward run."""
+    """No profiled garbage configuration produced a consistent backward pass."""
 
 
 class TrialBudgetExceededError(InversionError):
@@ -72,24 +72,14 @@ class InversionResult:
         }
 
 
-def _final_state(machine: Machine, y: int, config: int) -> BitState:
-    """Candidate final state: output = y, garbage = config, restored at constants."""
-    iface = machine.iface
-    state = BitState.zeros(iface.width).with_value(iface.output_lines, y)
-    state = state.with_value(iface.garbage_lines, config)
-    for line, const in iface.restored_lines:
-        state = state.with_value([line], const)
-    return state
-
-
 def _check_output(machine: Machine, y: int) -> None:
     width = machine.iface.output_width
     if not 0 <= y < (1 << width):
         raise InvalidCircuitError(f"output value {y} does not fit the {width}-bit output region")
 
 
-def _fits(machine: Machine, y: int, garbage_columns: list[int], full: int) -> int:
-    """Bit j is set iff guess j (bit j of each garbage column) runs back onto every preset constant."""
+def _backward(machine: Machine, y: int, garbage_columns: list[int], full: int) -> list[int]:
+    """Each line's start value, bit-sliced: guess j (bit j of each garbage column) run back from `y`."""
     iface = machine.iface
     lines = [0] * iface.width
     for i, line in enumerate(iface.output_lines):
@@ -99,16 +89,33 @@ def _fits(machine: Machine, y: int, garbage_columns: list[int], full: int) -> in
     for line, const in iface.restored_lines:
         lines[line] = full if const else 0
     _apply_gates(lines, reversed(machine.circuit.gates), full)
+    return lines
+
+
+def _fits(machine: Machine, y: int, garbage_columns: list[int], full: int) -> int:
+    """Bit j is set iff guess j runs back onto every preset constant.
+
+    Reversibility takes such a start forward to `y` and the guess again, so a
+    fit needs no forward check.
+    """
+    lines = _backward(machine, y, garbage_columns, full)
     fits = full
-    for line, const in iface.preset_lines:
+    for line, const in machine.iface.preset_lines:
         fits &= lines[line] if const else ~lines[line]
     return fits
+
+
+def _input_of(machine: Machine, y: int, config: int) -> int:
+    """The input an accepted guess runs back to, from a one-lane `_backward` pass."""
+    iface = machine.iface
+    lines = _backward(machine, y, _region_columns([config], iface.garbage_width), 1)
+    return _region_values([lines[line] for line in iface.input_lines], 1)[0]
 
 
 def _fit_table(machine: Machine, y: int) -> str:
     """Character g is "1" iff garbage value g fits output `y`, for all 2^k values.
 
-    They run backward a `sim._domain` chunk at a time, in ascending order.
+    They go backward a `sim._domain` chunk at a time, in ascending order.
     """
     return "".join(
         format(_fits(machine, y, columns, full), f"0{full.bit_length()}b")[::-1]
@@ -126,26 +133,6 @@ def _first_fit(machine: Machine, y: int, guesses: Sequence[int]) -> int:
         if fits:
             return done + (fits & -fits).bit_length() - 1
     return -1
-
-
-def _trial(machine: Machine, y: int, config: int) -> BitState:
-    """Confirm an accepted guess on single states; the start state it runs back to.
-
-    The backward run from output `y` and garbage `config` must land every
-    preset line on its constant, and the forward run from that start must
-    give back `y` and `config`.
-    """
-    iface = machine.iface
-    start = run(machine.circuit, _final_state(machine, y, config), "backward")
-    final = run(machine.circuit, start)
-    if any(start.bits[line] != const for line, const in iface.preset_lines) or (
-        final.value_of(iface.output_lines) != y or final.value_of(iface.garbage_lines) != config
-    ):
-        raise InversionError(
-            "forward re-run did not reproduce the requested output; "
-            "the machine or its interface is inconsistent"
-        )
-    return start
 
 
 def invert_with_profile(machine: Machine, y: int, profile: GarbageProfile) -> InversionResult:
@@ -174,8 +161,7 @@ def invert_with_profile(machine: Machine, y: int, profile: GarbageProfile) -> In
     )
     hit = _first_fit(machine, y, configs[:in_range])
     if hit >= 0:
-        start = _trial(machine, y, configs[hit])
-        input_value = start.value_of(iface.input_lines)
+        input_value = _input_of(machine, y, configs[hit])
         return InversionResult(input_value, hit + 1, "table", configs[hit], profile.per_output is not None)
     if in_range < len(configs):
         raise InvalidCircuitError(
@@ -222,8 +208,7 @@ def invert_blind(
             else:
                 hit = "".join(map(fit.__getitem__, draws)).find("1")
             if hit >= 0:
-                start = _trial(machine, y, draws[hit])
-                input_value = start.value_of(machine.iface.input_lines)
+                input_value = _input_of(machine, y, draws[hit])
                 return InversionResult(input_value, done + hit + 1, "blind", draws[hit])
     raise TrialBudgetExceededError(
         f"no consistent garbage string found for output {y} in {max_trials} trials "

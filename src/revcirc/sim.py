@@ -17,8 +17,9 @@ work never happens by accident.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import repeat
-from operator import itemgetter, lshift, or_
+from operator import iadd, itemgetter, lshift, or_
 from typing import Iterable, Iterator, Sequence
 
 from .ir import Circuit, Gate, InvalidCircuitError, Machine
@@ -291,14 +292,17 @@ def truth_table(machine: Machine, max_input_bits: int = EXHAUSTIVE_BOUND) -> Fun
     """Materialize the machine's whole function, evaluating a chunk of inputs at once.
 
     Each chunk's bit-sliced lines (`_final_lines`, which checks the bound and
-    the restored lines) are transposed into one output and garbage value per input.
+    the restored lines) are transposed into one output and garbage value per
+    input. A lone chunk's tuples pass through whole, as `tuple()` of a tuple
+    is free; more chunks are extended into one list.
     """
     iface = machine.iface
-    outputs: list[int] = []
-    garbage: list[int] = []
+    outputs: list[tuple[int, ...]] = []
+    garbage: list[tuple[int, ...]] = []
     for full, lines in _final_lines(machine, max_input_bits):
-        outputs += _region_values([lines[line] for line in iface.output_lines], full.bit_length())
-        garbage += _region_values([lines[line] for line in iface.garbage_lines], full.bit_length())
+        outputs.append(_region_values([lines[line] for line in iface.output_lines], full.bit_length()))
+        garbage.append(_region_values([lines[line] for line in iface.garbage_lines], full.bit_length()))
+    outputs, garbage = (p[0] if len(p) == 1 else reduce(iadd, p, []) for p in (outputs, garbage))
     return FunctionTable(iface.input_width, iface.output_width, outputs, garbage)
 
 

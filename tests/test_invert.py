@@ -35,7 +35,7 @@ from revcirc import (
 )
 from revcirc import invert, sim
 
-from conftest import machines
+from conftest import late_liar, machines
 
 
 def reference_trial(machine: Machine, y: int, config: int) -> BitState | None:
@@ -277,8 +277,15 @@ class TestBlockSearch:
 
     @pytest.mark.parametrize(
         "m,ys",
-        [(incrementer(10), (0, 1, 513)), (ripple_adder(9), (0, 300, 262143)), (decrementer(5), (0, 31))],
-        ids=["incrementer(10)", "ripple_adder(9)", "decrementer(5)"],
+        [
+            (incrementer(10), (0, 1, 513)),
+            (ripple_adder(9), (0, 300, 262143)),
+            (decrementer(5), (0, 31)),
+            # declared restored lines that are false: every output value
+            (late_liar(), (0, 1, 2, 3)),
+            (late_liar(tie=True), (0, 1, 2, 3)),
+        ],
+        ids=["incrementer(10)", "ripple_adder(9)", "decrementer(5)", "late_liar()", "late_liar(tie=True)"],
     )
     def test_blind_block_edges_match_reference(self, m, ys):
         for max_trials in budget_edges(m):
@@ -317,22 +324,24 @@ class TestBlockSearch:
             got = outcome(invert_with_profile, m, y, p)
         assert got == outcome(reference_invert_with_profile, m, y, p)
 
-    def test_single_state_runs_only_confirm(self, monkeypatch):
-        calls = []
-
-        def counting_run(*args, **kwargs):
-            calls.append(args[2] if len(args) > 2 else "forward")
-            return run(*args, **kwargs)
-
-        monkeypatch.setattr(invert, "run", counting_run)
+    def test_no_single_state_runs(self, monkeypatch):
         m = ripple_adder(9)
-        r = invert_blind(m, 5, seed=3)
-        assert r.trials > 1
-        assert calls == ["backward", "forward"]
-        calls.clear()
-        with pytest.raises(TrialBudgetExceededError):
-            invert_blind(m, 5, seed=3, max_trials=r.trials - 1)
-        assert calls == []
+        p = garbage_profile(m)
+        hit = reference_invert_blind(m, 5, 3)
+        assert hit.trials > 1
+        short = outcome(reference_invert_blind, m, 5, 3, hit.trials - 1)
+        assert short[0] is TrialBudgetExceededError
+        by_table = [reference_invert_with_profile(m, y, p) for y in (0, 5, 300, 262143)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("inversion ran a single state")
+
+        monkeypatch.setattr(sim, "run", refuse)
+        monkeypatch.setattr(BitState, "zeros", refuse)
+        monkeypatch.setattr(BitState, "with_value", refuse)
+        assert invert_blind(m, 5, seed=3) == hit
+        assert outcome(invert_blind, m, 5, 3, hit.trials - 1) == short
+        assert [invert_with_profile(m, y, p) for y in (0, 5, 300, 262143)] == by_table
 
     @pytest.mark.parametrize("k,width", [(0, 1), (16, 33)])
     def test_exhaustion_draws_no_guess(self, monkeypatch, k, width):
