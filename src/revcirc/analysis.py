@@ -287,15 +287,22 @@ def growth_report(
 ) -> GrowthReport:
     """Count a family's garbage configurations across sizes and classify the growth.
 
-    Every size is built, and checked against the enumeration bound, before
-    any is enumerated, so an oversized range is refused at no cost.
+    Sizes are built in ascending order and each is checked against the
+    enumeration bound as it is built, before any is enumerated. An oversized
+    range is refused at its first size over the bound, having cost only the
+    sizes up to that one; an ascending `range` is not even listed.
     """
-    sizes = sorted(set(int(n) for n in n_range))
+    if isinstance(n_range, range) and n_range.step > 0:
+        sizes: Sequence[int] = n_range  # already ascending and distinct
+    else:
+        sizes = sorted(set(int(n) for n in n_range))
     if len(sizes) < 3:
         raise InsufficientPointsError(f"need at least 3 sizes, got {len(sizes)}")
-    machines = [family(n) for n in sizes]
-    for m in machines:
-        check_enumeration_bound(m.iface.input_width, max_input_bits)
+    machines = []
+    for n in sizes:
+        machine = family(n)
+        check_enumeration_bound(machine.iface.input_width, max_input_bits)
+        machines.append(machine)
     points = tuple(
         (n, len(garbage_configs(m, max_input_bits))) for n, m in zip(sizes, machines)
     )

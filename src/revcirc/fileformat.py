@@ -22,7 +22,9 @@ The parser reads every line one way: it cuts the line at `#`, splits it on
 whitespace and checks the words once (keyword, kind, arity, ASCII digits,
 range, distinct lines). A gate that passes is built through `ir`'s private
 trusted constructors with no second check, and equal gate lines share one
-Gate. Only a line that fails is tokenized again, to give the error the
+Gate. A line's indices, and a `preset`/`restored` line's LINE=BIT words,
+are checked as one batch; only a batch that fails is checked word by word,
+and only a line that fails is tokenized again, to give the error the
 column of the offending word.
 """
 from __future__ import annotations
@@ -35,8 +37,13 @@ from .ir import _trusted_circuit, _trusted_gate
 _DIRECTIVES = ("width", "input", "preset", "output", "garbage", "restored")
 _ASSIGNED = ("preset", "restored")  # directives whose words are LINE=BIT
 _TOKEN = re.compile(r"\S+")  # the words str.split() finds, with their columns
-_GATE_WORDS = {kind.value: kind for kind in GateKind}
-_GATE_LINE = {kind: "gate " + kind.value + " %s" * (kind.n_controls + 1) for kind in GateKind}
+_GATE_WORDS = {kind.value: (kind, kind.n_controls + 1) for kind in GateKind}  # word -> kind, arity
+# A gate's line template, indexed by its control count, which names its kind.
+_GATE_LINE = tuple(
+    "gate " + kind.value + " %s" * (kind.n_controls + 1)
+    for kind in sorted(GateKind, key=lambda kind: kind.n_controls)
+)
+_BITS = {"=0", "=1"}  # how a LINE=BIT word may end
 
 
 class CircuitSyntaxError(InvalidCircuitError):
@@ -82,9 +89,7 @@ def parse_circuit(text: str) -> Machine:
                 raise _error(f"{expected}, got {words[1]!r}", raw, lineno, 1)
             regions[keyword] = (width,)
         elif keyword in _ASSIGNED:
-            regions[keyword] = tuple(
-                _assignment(word, raw, lineno, i) for i, word in enumerate(words[1:], 1)
-            )
+            regions[keyword] = _assignments(words, raw, lineno)
         else:
             regions[keyword] = _indices(words, 1, raw, lineno)
 
@@ -129,6 +134,19 @@ def _indices(words: list[str], first: int, raw: str, lineno: int) -> tuple[int, 
     return tuple(_index(word, raw, lineno, i) for i, word in enumerate(texts, first))
 
 
+def _assignments(words: list[str], raw: str, lineno: int) -> tuple[tuple[int, int], ...]:
+    """The LINE=BIT pairs spelled by words[1:]; the first bad word is refused."""
+    texts = words[1:]
+    lines = [word[:-2] for word in texts]
+    digits = "".join(lines)
+    if digits.isascii() and digits.isdigit() and {word[-2:] for word in texts} <= _BITS:
+        try:
+            return tuple(zip(map(int, lines), [int(word[-1]) for word in texts]))
+        except ValueError:  # an empty LINE, or more digits than int() converts
+            pass
+    return tuple(_assignment(word, raw, lineno, i) for i, word in enumerate(texts, 1))
+
+
 def _assignment(word: str, raw: str, lineno: int, i: int) -> tuple[int, int]:
     expected = "expected LINE=BIT with BIT 0 or 1"
     line = word[:-2]
@@ -140,10 +158,10 @@ def _assignment(word: str, raw: str, lineno: int, i: int) -> tuple[int, int]:
 def _parse_gate(words: list[str], width: int | None, raw: str, lineno: int) -> Gate:
     if len(words) < 2:
         raise _error("gate statement needs a kind and line indices", raw, lineno, 0)
-    kind = _GATE_WORDS.get(words[1])
-    if kind is None:
-        raise _error(f"unknown gate kind {words[1]!r}", raw, lineno, 1)
-    arity = kind.n_controls + 1
+    try:
+        kind, arity = _GATE_WORDS[words[1]]
+    except KeyError:
+        raise _error(f"unknown gate kind {words[1]!r}", raw, lineno, 1) from None
     if len(words) != arity + 2:
         raise _error(
             f"gate {kind.value!r} takes {arity} line indices, got {len(words) - 2}", raw, lineno, 1
@@ -166,5 +184,7 @@ def serialize(machine: Machine) -> str:
         values = getattr(iface, f"{name}_lines")
         if values:
             out.append(name + "".join(word % value for value in values))
-    out.extend(_GATE_LINE[g.kind] % (*g.controls, g.target) for g in machine.circuit.gates)
+    out.extend(
+        _GATE_LINE[len(g.controls)] % (g.controls + (g.target,)) for g in machine.circuit.gates
+    )
     return "\n".join(out) + "\n"

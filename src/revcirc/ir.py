@@ -5,6 +5,12 @@ threads. A Circuit is just an ordered gate list over `width` lines; an
 InterfaceSpec assigns roles to those lines (input/preset at the start,
 output/garbage/restored at the end); a Machine bundles the two.
 
+Large circuits hold tens of thousands of gates, so a Gate is a slotted
+dataclass: three fields and no per-instance `__dict__`. It still compares,
+hashes, copies and pickles as a value, and assigning a field raises
+`FrozenInstanceError`. A GateKind carries its control count as a plain
+attribute, read without hashing the member.
+
 Validation happens once, where a value enters: in the public `Gate`,
 `make_gate` and `Circuit` constructors and in the parser. `inverse`,
 `concat` and `remap` (after checking its line map) build from gates already
@@ -24,19 +30,21 @@ class InvalidCircuitError(ValueError):
 
 
 class GateKind(Enum):
-    X = "x"
-    CX = "cx"
-    CCX = "ccx"
+    X = "x", 0
+    CX = "cx", 1
+    CCX = "ccx", 2
 
-    @property
-    def n_controls(self) -> int:
-        return _CONTROL_COUNT[self]
+    n_controls: int
+
+    def __new__(cls, value: str, n_controls: int) -> GateKind:
+        # `.value` stays the mnemonic; n_controls is a plain member attribute.
+        member = object.__new__(cls)
+        member._value_ = value
+        member.n_controls = n_controls
+        return member
 
 
-_CONTROL_COUNT = {GateKind.X: 0, GateKind.CX: 1, GateKind.CCX: 2}
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Gate:
     """One reversible primitive: the target line flips iff every control is 1.
 
@@ -49,14 +57,16 @@ class Gate:
     target: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "controls", tuple(self.controls))
-        if len(self.controls) != self.kind.n_controls:
+        controls = tuple(self.controls)
+        _set_controls(self, controls)
+        kind = self.kind
+        if len(controls) != kind.n_controls:
             raise InvalidCircuitError(
-                f"gate kind {self.kind.value!r} takes {self.kind.n_controls} "
-                f"control(s), got {len(self.controls)}"
+                f"gate kind {kind.value!r} takes {kind.n_controls} "
+                f"control(s), got {len(controls)}"
             )
-        lines = self.lines
-        if any(line < 0 for line in lines):
+        lines = controls + (self.target,)
+        if min(lines) < 0:
             raise InvalidCircuitError(f"negative line index in gate: {lines}")
         if len(set(lines)) != len(lines):
             raise InvalidCircuitError(f"duplicate line in gate: {lines}")
@@ -67,14 +77,20 @@ class Gate:
         return self.controls + (self.target,)
 
 
+# Gate's slot descriptors write a field past the frozen __setattr__, as
+# object.__setattr__ would, without looking the name up on every call.
+_new_gate = object.__new__
+_set_kind = Gate.kind.__set__
+_set_controls = Gate.controls.__set__
+_set_target = Gate.target.__set__
+
+
 def _trusted_gate(kind: GateKind, controls: tuple[int, ...], target: int) -> Gate:
     """A Gate whose arity, non-negative and distinct lines the caller has checked."""
-    # Set as the dataclass's own __init__ does; a filled-in __dict__ would
-    # take half as much memory again per gate.
-    gate = object.__new__(Gate)
-    object.__setattr__(gate, "kind", kind)
-    object.__setattr__(gate, "controls", controls)
-    object.__setattr__(gate, "target", target)
+    gate = _new_gate(Gate)
+    _set_kind(gate, kind)
+    _set_controls(gate, controls)
+    _set_target(gate, target)
     return gate
 
 
@@ -98,12 +114,19 @@ class Circuit:
     def __post_init__(self) -> None:
         if self.width < 1:
             raise InvalidCircuitError("circuit width must be positive")
-        object.__setattr__(self, "gates", tuple(self.gates))
-        for gate in self.gates:
-            if max(gate.lines) >= self.width:
-                raise InvalidCircuitError(
-                    f"gate on lines {gate.lines} out of range for width {self.width}"
-                )
+        width = self.width
+        gates = tuple(self.gates)
+        object.__setattr__(self, "gates", gates)
+        for gate in gates:
+            if gate.target < width:
+                for line in gate.controls:
+                    if line >= width:
+                        break
+                else:
+                    continue  # every line of this gate is in range
+            raise InvalidCircuitError(
+                f"gate on lines {gate.lines} out of range for width {width}"
+            )
 
     def __len__(self) -> int:
         return len(self.gates)
@@ -210,7 +233,7 @@ class InterfaceSpec:
             seen.extend(group)
         if len(seen) != len(set(seen)):
             raise InvalidCircuitError(f"{which} role declaration lists a line twice")
-        if len(seen) != width or not all(0 <= line < width for line in seen):
+        if len(seen) != width or seen and not (min(seen) >= 0 and max(seen) < width):
             raise InvalidCircuitError(
                 f"{which} role declaration does not cover every line exactly once"
             )

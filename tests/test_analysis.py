@@ -306,6 +306,22 @@ class TestGrowth:
         with pytest.raises(ExhaustiveBoundError, match="input region has 9 bits"):
             growth_report(incrementer, range(2, 10), max_input_bits=8)
 
+    def test_oversized_range_refused_at_its_first_size_over_the_bound(self):
+        built = []
+
+        def counting_incrementer(n: int) -> Machine:
+            built.append(n)
+            return incrementer(n)
+
+        with pytest.raises(ExhaustiveBoundError, match="input region has 9 bits"):
+            growth_report(counting_incrementer, [30, 9, 2, 5, 9, 3], max_input_bits=8)
+        assert built == [2, 3, 5, 9]
+        built.clear()
+        # incrementer(21) is the first size with more than 20 input bits
+        with pytest.raises(ExhaustiveBoundError, match="input region has 21 bits"):
+            growth_report(counting_incrementer, range(2, 10**6))
+        assert built == list(range(2, 22))
+
     def test_insufficient_points_rejected(self):
         with pytest.raises(InsufficientPointsError):
             growth_report(incrementer, [2, 3])

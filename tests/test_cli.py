@@ -135,6 +135,14 @@ class TestProfileAndGrowth:
     def test_growth_range_too_short(self, capsys):
         assert main(["growth", "--family", "incr", "--from", "2", "--to", "3"]) == 1
 
+    def test_growth_oversized_range_refused_at_once(self, capsys):
+        # Sizes past 10 would cost seconds and hundreds of MiB each to build.
+        assert main(["growth", "--family", "adder", "--from", "2", "--to", "1200"]) == 4
+        assert capsys.readouterr().err == (
+            "error: input region has 22 bits; refusing exhaustive enumeration beyond 20"
+            " (pass max_input_bits to override)\n"
+        )
+
 
 class TestInvert:
     def test_table_method(self, capsys, incr3):

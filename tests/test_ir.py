@@ -1,11 +1,13 @@
 """Gate/circuit construction and the structural circuit algebra."""
 from __future__ import annotations
 
+import copy
 import dataclasses
+import pickle
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from revcirc import (
@@ -30,6 +32,7 @@ from revcirc import (
     step,
     zero_garbage_compose,
 )
+from revcirc.ir import _trusted_circuit, _trusted_gate
 from conftest import circuits, machines
 
 GOLDEN = Path(__file__).resolve().parent.parent / "golden"
@@ -303,3 +306,197 @@ class TestTrustedConstruction:
     def test_public_constructors_still_validate(self, build, match):
         with pytest.raises(InvalidCircuitError, match=match):
             build()
+
+
+MINIMAL_DOC = "width 2\ninput 0 1\noutput 0 1\ngate cx 0 1\n"
+
+
+class TestValueSemantics:
+    """A slotted, frozen Gate behaves as a value, alone and inside circuits and machines."""
+
+    @staticmethod
+    def values() -> list:
+        zg = parse_circuit(serialize(zero_garbage_compose(incrementer(4), decrementer(4))))
+        return [
+            zg.circuit.gates[0],  # built by the parser, through _trusted_gate
+            Gate(GateKind.CCX, [0, 1], 2),
+            Gate(GateKind.X, (), 0),
+            zg.circuit,
+            zg,
+        ]
+
+    @pytest.mark.parametrize("i", range(5))
+    def test_copies_are_equal_values(self, i):
+        value = self.values()[i]
+        protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+        copies = [pickle.loads(pickle.dumps(value, protocol)) for protocol in protocols]
+        copies += [copy.copy(value), copy.deepcopy(value), dataclasses.replace(value)]
+        for copied in copies:
+            assert type(copied) is type(value)
+            assert copied == value and hash(copied) == hash(value)
+
+    def test_kinds_pickle_to_themselves(self):
+        for kind in GateKind:
+            assert pickle.loads(pickle.dumps(kind)) is kind
+            assert copy.deepcopy(kind) is kind
+
+    def test_replace_validates(self):
+        g = Gate(GateKind.CX, (0,), 1)
+        assert dataclasses.replace(g, target=2) == Gate(GateKind.CX, (0,), 2)
+        with pytest.raises(InvalidCircuitError, match="duplicate line"):
+            dataclasses.replace(g, target=0)
+
+    def test_gate_fields_cannot_be_assigned(self):
+        for g in (Gate(GateKind.CX, (0,), 1), parse_circuit(MINIMAL_DOC).circuit.gates[0]):
+            for name, value in (("kind", GateKind.X), ("controls", ()), ("target", 7)):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(g, name, value)
+
+    def test_gates_carry_no_dict(self):
+        parsed = parse_circuit(MINIMAL_DOC).circuit.gates[0]
+        for g in (parsed, Gate(GateKind.X, (), 0), copy.deepcopy(parsed)):
+            assert not hasattr(g, "__dict__")
+        assert Gate.__slots__ == ("kind", "controls", "target")
+
+
+# The public constructors' checks as written before Gate took slots, kept as
+# the oracle for the cheaper forms in `ir`: same refusals, same messages.
+_REF_CONTROL_COUNT = {GateKind.X: 0, GateKind.CX: 1, GateKind.CCX: 2}
+
+
+def reference_gate(kind: GateKind, controls, target: int) -> Gate:
+    controls = tuple(controls)
+    if len(controls) != _REF_CONTROL_COUNT[kind]:
+        raise InvalidCircuitError(
+            f"gate kind {kind.value!r} takes {_REF_CONTROL_COUNT[kind]} "
+            f"control(s), got {len(controls)}"
+        )
+    lines = controls + (target,)
+    if any(line < 0 for line in lines):
+        raise InvalidCircuitError(f"negative line index in gate: {lines}")
+    if len(set(lines)) != len(lines):
+        raise InvalidCircuitError(f"duplicate line in gate: {lines}")
+    return _trusted_gate(kind, controls, target)
+
+
+def reference_circuit(width: int, gates) -> Circuit:
+    if width < 1:
+        raise InvalidCircuitError("circuit width must be positive")
+    gates = tuple(gates)
+    for gate in gates:
+        if max(gate.lines) >= width:
+            raise InvalidCircuitError(f"gate on lines {gate.lines} out of range for width {width}")
+    return _trusted_circuit(width, gates)
+
+
+def reference_interface(width, input_lines, preset_lines, output_lines, garbage_lines, restored_lines):
+    """The field values InterfaceSpec must hold for these arguments, or its error."""
+    input_lines = tuple(input_lines)
+    preset_lines = tuple((int(l), int(c)) for l, c in preset_lines)
+    output_lines = tuple(output_lines)
+    garbage_lines = tuple(garbage_lines)
+    restored_lines = tuple((int(l), int(c)) for l, c in restored_lines)
+    for line, const in preset_lines + restored_lines:
+        if const not in (0, 1):
+            raise InvalidCircuitError(f"constant for line {line} must be 0 or 1, got {const}")
+    partitions = (
+        ("initial", (input_lines, tuple(l for l, _ in preset_lines))),
+        ("final", (output_lines, garbage_lines, tuple(l for l, _ in restored_lines))),
+    )
+    for which, groups in partitions:
+        seen = [line for group in groups for line in group]
+        if len(seen) != len(set(seen)):
+            raise InvalidCircuitError(f"{which} role declaration lists a line twice")
+        if len(seen) != width or not all(0 <= line < width for line in seen):
+            raise InvalidCircuitError(
+                f"{which} role declaration does not cover every line exactly once"
+            )
+    presets = dict(preset_lines)
+    for line, const in restored_lines:
+        if line not in presets:
+            raise InvalidCircuitError(f"restored line {line} is not a preset line")
+        if presets[line] != const:
+            raise InvalidCircuitError(
+                f"restored line {line} declares constant {const}, preset says {presets[line]}"
+            )
+    return (width, input_lines, preset_lines, output_lines, garbage_lines, restored_lines)
+
+
+def built_or_refused(build, *args):
+    try:
+        value = build(*args)
+    except InvalidCircuitError as exc:
+        return type(exc), str(exc)
+    if isinstance(value, InterfaceSpec):
+        return tuple(getattr(value, f.name) for f in dataclasses.fields(value))
+    return value
+
+
+_LINES = st.integers(-3, 9)
+
+
+@st.composite
+def valid_gates(draw, max_line: int = 9):
+    kind = draw(st.sampled_from(GateKind))
+    lines = draw(st.lists(st.integers(0, max_line), min_size=kind.n_controls + 1,
+                          max_size=kind.n_controls + 1, unique=True))
+    return Gate(kind, tuple(lines[:-1]), lines[-1])
+
+
+@st.composite
+def role_declarations(draw):
+    """InterfaceSpec arguments: arbitrary tuples, or a legal declaration with one edit."""
+    consts = st.sampled_from([0, 1, 0, 1, -1, 2])
+    if draw(st.booleans()):
+        pairs = st.lists(st.tuples(_LINES, consts), max_size=4).map(tuple)
+        singles = st.lists(_LINES, max_size=4).map(tuple)
+        return (draw(st.integers(-1, 6)), draw(singles), draw(pairs), draw(singles),
+                draw(singles), draw(pairs))
+    iface = draw(machines()).iface
+    fields = [getattr(iface, f.name) for f in dataclasses.fields(iface)]
+    width, i = fields[0], draw(st.integers(1, 5))
+    edit = draw(st.sampled_from(["none", "width", "drop", "append", "restore"]))
+    if edit == "width":
+        fields[0] += draw(st.sampled_from([-1, 1]))
+    elif edit == "drop" and fields[i]:
+        fields[i] = fields[i][1:]
+    elif edit == "append":
+        line = draw(st.one_of(_LINES, st.integers(0, width - 1)))
+        fields[i] += ((line, draw(consts)),) if i in (2, 5) else (line,)
+    elif edit == "restore" and fields[3]:
+        # An output line declared restored instead: an input, or a preset
+        # with the same or the other constant.
+        fields[5] += ((fields[3][0], draw(consts)),)
+        fields[3] = fields[3][1:]
+    return tuple(fields)
+
+
+class TestChecksMatchReference:
+    """The public constructors refuse what the reference checks refuse, with their messages."""
+
+    @given(st.sampled_from(GateKind), st.lists(_LINES, max_size=3), _LINES)
+    @example(GateKind.CX, [], 0)
+    @example(GateKind.CCX, [4, -1], 4)
+    @example(GateKind.CCX, [4, 1], 4)
+    def test_gate(self, kind, controls, target):
+        got = built_or_refused(Gate, kind, controls, target)
+        assert got == built_or_refused(reference_gate, kind, controls, target)
+        if isinstance(got, Gate):
+            assert type(got.controls) is tuple
+
+    @given(st.integers(-2, 10), st.lists(valid_gates(), max_size=6))
+    def test_circuit(self, width, gates):
+        got = built_or_refused(Circuit, width, gates)
+        assert got == built_or_refused(reference_circuit, width, gates)
+        if isinstance(got, Circuit):
+            assert type(got.gates) is tuple
+
+    @given(role_declarations())
+    @example((0, (), (), (), (), ()))
+    @example((2, (0,), ((1, 0),), (0,), (0,), ((1, 0),)))  # final lists a line twice
+    @example((2, (0, 1), (), (0, 2), (), ()))  # final does not cover
+    @example((2, (0, -1), (), (0, 1), (), ()))
+    @example((2, (0, 1), (), (0,), (), ((1, 0),)))  # restored, not preset
+    @example((2, (0,), ((1, 0),), (0,), (), ((1, 1),)))  # restored with the other constant
+    def test_interface(self, args):
+        assert built_or_refused(InterfaceSpec, *args) == built_or_refused(reference_interface, *args)
