@@ -25,7 +25,6 @@ from .sim import (
     EXHAUSTIVE_BOUND,
     RestorationViolationError,
     check_enumeration_bound,
-    is_injective,
     truth_table,
 )
 from .sim import _final_lines, _region_values
@@ -47,7 +46,9 @@ class GarbageProfile:
     `configs` is sorted ascending. `per_output` maps each output value to its
     unique garbage value and is present only when the output function is
     injective; for many-to-one machines several garbage values can be
-    "correct" per output, so no map is stored.
+    "correct" per output, so no map is stored. `as_dict()` gives the map int
+    keys in ascending order, whatever order it was built in; `json` writes
+    them as their decimal strings.
     """
 
     machine_id: str
@@ -75,7 +76,7 @@ class GarbageProfile:
             "configs_digest": self.digest(),
         }
         if self.per_output is not None:
-            d["per_output"] = {str(k): v for k, v in sorted(self.per_output.items())}
+            d["per_output"] = {y: self.per_output[y] for y in sorted(self.per_output)}
         return d
 
 
@@ -173,7 +174,9 @@ def garbage_profile(
     one, encoded as 0), so `config_count` is always at least 1.
     """
     table = truth_table(machine, max_input_bits)
-    per_output = dict(zip(table.outputs, table.garbage)) if is_injective(table) else None
+    per_output = dict(zip(table.outputs, table.garbage))
+    if len(per_output) != len(table.outputs):  # two inputs share an output: not injective
+        per_output = None
     return GarbageProfile(
         machine_id=machine_id(machine, label),
         input_bits=table.input_width,

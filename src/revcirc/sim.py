@@ -3,7 +3,8 @@
 Single-state simulation is deliberately literal: a state is a vector of bits,
 a gate flips one of them, and a run applies the gate list in order (or
 reversed). `run` and `BitState` are the public single-state API and the
-oracle the tests hold the table against.
+oracle the tests hold the table against; the CLI's `sim` runs one state
+through the bit-sliced core (`_apply_gates` on one-bit lines) instead.
 
 All whole-function claims are checked by enumerating the input space.
 `truth_table` does that bit-sliced: each line is one integer holding its
@@ -11,11 +12,16 @@ value on every input of a chunk, so a gate costs one big-integer operation
 over the chunk. Every enumeration of 2^b values, inputs run forward here and
 garbage values run backward in `invert`, walks `_domain(b)`: chunks of at
 most 2^`_CHUNK_BITS` values in ascending order, so its memory does not grow
-with b. Enumeration is refused above a configurable bound so exponential
-work never happens by accident.
+with b. A chunk's region lines become one integer per input in
+`_region_values`, which packs up to 64 lines into a word per input and
+reads the words back as an array, so that step is C work per input too.
+Enumeration is refused above a configurable bound so exponential work never
+happens by accident.
 """
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import reduce
 from itertools import repeat
@@ -200,6 +206,13 @@ def _domain(bits: int) -> Iterator[tuple[int, list[int]]]:
         yield full, counting + [full if chunk >> i & 1 else 0 for i in range(bits - low)]
 
 
+# The array typecode of an unsigned int per item size in bytes, for the word
+# transpose in `_region_values`. C fixes only minimum sizes, so pick by size.
+_WORD_CODE = {array(code).itemsize: code for code in "QLIHB"}
+if not {1, 2, 4, 8} <= _WORD_CODE.keys():
+    raise ImportError(f"no 1-, 2-, 4- and 8-byte array typecodes here: {_WORD_CODE}")
+_BIG_ENDIAN = sys.byteorder == "big"
+
 # _BYTE_OF_BIT[j] maps the ASCII digits "0"/"1" to the bytes 0 and 1 << j.
 _BYTE_OF_BIT = [bytes.maketrans(b"01", bytes((0, 1 << j))) for j in range(8)]
 
@@ -208,19 +221,29 @@ def _region_values(columns: Sequence[int], rows: int) -> tuple[int, ...]:
     """Transpose bit-sliced region lines into one integer per input row.
 
     The first column is bit 0 of every value. Each group of eight columns is
-    spread one bit per row into one byte per row, so the per-row work is a
-    byte read and, past the first group, one shift and OR, all in C.
+    spread one bit per row into one byte per row. Up to eight such byte
+    strings are copied, each with one strided slice, into a word of 1, 2, 4
+    or 8 bytes per row, and the words are read back as one array of ints. So
+    each 64 columns cost only C work per row; past the first 64, one shift
+    and OR per row joins each further 64.
     """
     if not columns:
         return (0,) * rows
     values: tuple[int, ...] = ()
-    for g in range(0, len(columns), 8):
-        packed = 0
-        for j, column in enumerate(columns[g : g + 8]):
-            digits = format(column, f"0{rows}b").encode()  # row rows-1 first
-            packed |= int.from_bytes(digits.translate(_BYTE_OF_BIT[j]), "big")
-        group = packed.to_bytes(rows, "little")  # row x at byte x
-        values = tuple(map(or_, values, map(lshift, group, repeat(g)))) if g else tuple(group)
+    spec = f"0{rows}b"  # a column's digits, row rows-1 first
+    for w in range(0, len(columns), 64):
+        groups = (min(64, len(columns) - w) + 7) // 8
+        size = 1 << (groups - 1).bit_length()  # bytes per word
+        words = bytearray(size * rows)  # row x's word at byte size * x, little-endian
+        for g in range(groups):
+            packed = 0
+            for j, column in enumerate(columns[w + 8 * g : w + 8 * g + 8]):
+                packed |= int.from_bytes(format(column, spec).encode().translate(_BYTE_OF_BIT[j]), "big")
+            words[g::size] = packed.to_bytes(rows, "little")  # row x at byte x
+        block = array(_WORD_CODE[size], words)
+        if _BIG_ENDIAN:  # unreachable on the little-endian hosts CI runs on
+            block.byteswap()
+        values = tuple(map(or_, values, map(lshift, block, repeat(w)))) if w else tuple(block)
     return values
 
 

@@ -1,6 +1,7 @@
 """Garbage profiling, conformance reporting, and growth classification."""
 from __future__ import annotations
 
+import json
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -13,6 +14,7 @@ from revcirc import (
     Circuit,
     ConformanceReport,
     ExhaustiveBoundError,
+    GarbageProfile,
     InsufficientPointsError,
     InterfaceSpec,
     Machine,
@@ -86,6 +88,34 @@ class TestGarbageProfile:
         )
         p = garbage_profile(Machine(Circuit(2), iface))
         assert p.per_output is None
+
+    @pytest.mark.parametrize(
+        "m", [incrementer(2), incrementer(9), ripple_adder(4), bennett(incrementer(3))], ids=["incr2", "incr9", "adder4", "bennett3"]
+    )
+    def test_as_dict_per_output_int_keys_ascending(self, m):
+        p = garbage_profile(m)
+        per_output = p.as_dict()["per_output"]
+        assert all(type(y) is int for y in per_output)
+        assert list(per_output) == sorted(p.per_output)
+        assert per_output == p.per_output
+        # the str-keyed form as_dict built before: json writes int keys as these strings
+        old_form = {str(k): v for k, v in sorted(p.per_output.items())}
+        assert json.dumps(per_output, indent=2) == json.dumps(old_form, indent=2)
+        assert json.dumps(p.as_dict()) == json.dumps({**p.as_dict(), "per_output": old_form})
+
+    def test_as_dict_sorts_a_hand_built_per_output(self):
+        p = GarbageProfile("m", 2, 1, (0, 1), {3: 1, 0: 0, 2: 1, 1: 0})
+        per_output = p.as_dict()["per_output"]
+        assert list(per_output.items()) == [(0, 0), (1, 0), (2, 1), (3, 1)]
+        assert json.dumps(per_output) == '{"0": 0, "1": 0, "2": 1, "3": 1}'
+
+    def test_injectivity_read_from_the_map(self, roster):
+        # per_output is present exactly when no two inputs share an output
+        for name, m in roster:
+            p, t = garbage_profile(m), truth_table(m)
+            assert (p.per_output is not None) == sim.is_injective(t), name
+            if p.per_output is not None:
+                assert p.per_output == {t.outputs[x]: t.garbage[x] for x in range(len(t.outputs))}, name
 
     def test_deterministic(self):
         a = garbage_profile(ripple_adder(2))

@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import revcirc
-from revcirc import cli, incrementer, initial_state, parse_circuit, ripple_adder, run, serialize, truth_table
+from revcirc import BitState, cli, incrementer, initial_state, parse_circuit, ripple_adder, run, serialize, truth_table
 from revcirc.cli import _dumps, _int_to_bits, main
 
 from conftest import machines, small_machine_roster
@@ -65,6 +66,67 @@ class TestSim:
 
     def test_backward_with_int_is_usage_error(self, capsys, incr3):
         assert main(["sim", "-c", str(incr3), "--int", "3", "--backward"]) == 1
+
+
+def reference_sim(machine, x: int | None = None, final_bits: str | None = None) -> tuple[dict, list[str]]:
+    """The `sim` report and human lines built on the literal `run`/`BitState` path: the CLI's oracle."""
+    iface = machine.iface
+    if final_bits is not None:
+        state = BitState(iface.width, tuple(map(int, final_bits)))
+        start = run(machine.circuit, state, "backward")
+        presets_ok = all(start.bits[l] == c for l, c in iface.preset_lines)
+        value = start.value_of(iface.input_lines)
+        report = {
+            "command": "sim", "direction": "backward", "final_state": str(state), "initial_state": str(start),
+            "input_value": value, "presets_consistent": presets_ok,
+        }
+        return report, [
+            f"initial state: {start}",
+            f"input region: {value} (bits {old_int_to_bits(value, iface.input_width)})",
+            f"presets consistent: {'yes' if presets_ok else 'no'}",
+        ]
+    final = run(machine.circuit, initial_state(machine, x))
+    out, garbage = final.value_of(iface.output_lines), final.value_of(iface.garbage_lines)
+    report = {
+        "command": "sim", "direction": "forward", "input_value": x,
+        "input_bits": old_int_to_bits(x, iface.input_width), "final_state": str(final),
+        "output_value": out, "output_bits": old_int_to_bits(out, iface.output_width),
+        "garbage_value": garbage, "garbage_bits": old_int_to_bits(garbage, iface.garbage_width),
+    }
+    return report, [
+        f"input: {x} (bits {report['input_bits']})",
+        f"output: {out} (bits {report['output_bits']})",
+        f"garbage: {report['garbage_bits'] or '(none)'}",
+        f"final state: {final}",
+    ]
+
+
+def check_sim_against_reference(machine, x: int, final_bits: str) -> None:
+    """`sim` forward (by --int and by -x) and backward, human and --json, against `reference_sim`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.rvc"
+        path.write_text(serialize(machine))
+        for args, (report, human) in [
+            (["--int", str(x)], reference_sim(machine, x=x)),
+            (["-x", old_int_to_bits(x, machine.iface.input_width)], reference_sim(machine, x=x)),
+            (["-x", final_bits, "--backward"], reference_sim(machine, final_bits=final_bits)),
+        ]:
+            assert run_captured(["sim", "-c", str(path), *args]) == (0, "\n".join(human) + "\n"), args
+            assert run_captured(["sim", "-c", str(path), *args, "--json"]) == (0, json.dumps(report, indent=2) + "\n"), args
+
+
+@settings(max_examples=80, deadline=None)
+@given(machines(), st.data())
+def test_sim_matches_run_reference(m, data):
+    x = data.draw(st.integers(0, (1 << m.iface.input_width) - 1))
+    final_bits = "".join(data.draw(st.lists(st.sampled_from("01"), min_size=m.width, max_size=m.width)))
+    check_sim_against_reference(m, x, final_bits)
+
+
+@pytest.mark.parametrize("m", [incrementer(700), ripple_adder(40)], ids=["incr700", "adder40"])
+def test_sim_matches_run_reference_on_wide_machines(m):
+    rng = random.Random(m.width)
+    check_sim_against_reference(m, rng.getrandbits(m.iface.input_width), "".join(rng.choice("01") for _ in range(m.width)))
 
 
 class TestTable:
@@ -142,6 +204,26 @@ class TestProfileAndGrowth:
             "error: input region has 22 bits; refusing exhaustive enumeration beyond 20"
             " (pass max_input_bits to override)\n"
         )
+
+    @pytest.mark.parametrize(
+        "family,start,bits", [("adder", "20000", 40000), ("incr", "40000", 40000), ("adder", "11", 22), ("incr", "21", 21)]
+    )
+    def test_growth_from_over_the_bound_refused_unbuilt(self, capsys, family, start, bits):
+        # the same line as when the first size is built and then refused, but no machine is built
+        unbuilt = mock.Mock(side_effect=AssertionError("a family member was built"))
+        with mock.patch.object(revcirc.library, "ripple_adder", unbuilt), mock.patch.object(revcirc.library, "incrementer", unbuilt):
+            assert main(["growth", "--family", family, "--from", start, "--to", str(int(start) + 2)]) == 4
+        assert unbuilt.call_count == 0
+        assert capsys.readouterr().err == (
+            f"error: input region has {bits} bits; refusing exhaustive enumeration beyond 20"
+            " (pass max_input_bits to override)\n"
+        )
+
+    @pytest.mark.parametrize("family,start", [("incr", "0"), ("incr", "-3"), ("adder", "0")])
+    def test_growth_from_below_the_family_is_invalid(self, capsys, family, start):
+        # a size the constructor refuses is still reported before the bound
+        assert main(["growth", "--family", family, "--from", start, "--to", "30"]) == 2
+        assert "needs at least" in capsys.readouterr().err
 
 
 class TestInvert:
@@ -278,9 +360,11 @@ def test_int_to_bits_matches_per_bit_join(case):
 
 _INTS = st.integers() | st.integers(-(10**100), 10**100)
 _KEYS = st.sampled_from(["", "%", "%d", "a%%b", "caf\u00e9", "\x00\n\""]) | st.text(max_size=6)
+# json.dumps writes an int key as its decimal string: negative and huge ones too.
+_INT_KEYS = st.integers(-3, 3) | _INTS
 _SCALARS = st.none() | st.booleans() | _INTS | st.floats() | st.text(max_size=8)
 # Lists of dicts that share one key tuple and hold only ints: the shape of a table's rows.
-_INT_ROWS = st.lists(_KEYS, unique=True, max_size=4).flatmap(
+_INT_ROWS = st.lists(_KEYS | _INT_KEYS, unique=True, max_size=4).flatmap(
     lambda keys: st.lists(st.fixed_dictionaries({k: _INTS for k in keys}), max_size=4)
 )
 _JSON = st.recursive(
@@ -288,8 +372,12 @@ _JSON = st.recursive(
     lambda children: (
         st.lists(children, max_size=4)
         | st.dictionaries(_KEYS, children, max_size=4)
+        | st.dictionaries(_INT_KEYS, children, max_size=4)
+        | st.dictionaries(_KEYS | _INT_KEYS, children, max_size=4)
         | st.lists(_INTS, max_size=6)
         | st.dictionaries(_KEYS, _INTS, max_size=6)
+        | st.dictionaries(_INT_KEYS, _INTS, max_size=6)
+        | st.dictionaries(_KEYS | _INT_KEYS, _INTS | st.booleans(), max_size=6)
         | st.lists(st.dictionaries(_KEYS, _INTS | st.booleans(), max_size=3), max_size=4)
         | _INT_ROWS
     ),
@@ -301,6 +389,32 @@ _JSON = st.recursive(
 @given(_JSON)
 def test_dumps_matches_json_indent_2(value):
     assert _dumps(value, "") == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_dumps_bulk_sections_of_1024_rows(seed):
+    # the sizes of a report's per_output map and table rows, past what hypothesis draws
+    rng = random.Random(seed)
+    ints = [rng.choice([0, -1, rng.getrandbits(70), -rng.getrandbits(8)]) for _ in range(3 << 10)]
+    per_output = dict(zip(rng.sample(range(-5000, 5000), 1 << 10), ints))
+    rows = [{"input": x, "output": ints[x], "garbage": ints[x + 1024]} for x in range(1 << 10)]
+    report = {"per_output": per_output, "rows": rows, "configs": ints, 7: [True] + ints[:5]}
+    assert _dumps(report, "") == json.dumps(report, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [[True, 1], [1, False], {1: True}, {"a": 1, "b": False}, {1: 2, 3: False}, [{"a": True}, {"a": 1}], [{1: 1}, {1: False}]],
+)
+def test_dumps_keeps_bools_off_the_int_paths(value):
+    # `type(v) is int` is False for a bool, which json writes as true/false, never 1/0
+    assert _dumps(value, "") == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [{True: 1}, {1.5: 1}, {None: 2}, [{False: 1}]])
+def test_dumps_refuses_keys_other_than_str_and_int(value):
+    with pytest.raises(TypeError):
+        _dumps(value, "")
 
 
 def json_argvs(machine, path: Path, out: Path) -> list[list[str]]:

@@ -378,6 +378,36 @@ def test_domain_counts_up_in_chunks(monkeypatch, chunk_bits):
         assert values == list(range(1 << bits))
 
 
+def reference_region_values(columns: list[int], rows: int) -> tuple[int, ...]:
+    """Row x's value read bit by bit from the columns, as the word transpose must give it."""
+    return tuple(sum(((col >> x) & 1) << i for i, col in enumerate(columns)) for x in range(rows))
+
+
+_TRANSPOSE_WIDTHS = [0, 1, 7, 8, 9, 63, 64, 65, 127, 128, 130]
+_TRANSPOSE_ROWS = [1, 2, 3, 4, 8, 64, 1 << 10]
+
+
+class TestWordTranspose:
+    """`_region_values` packs 64 columns per word; `_region_columns` is its inverse."""
+
+    @pytest.mark.parametrize("width", _TRANSPOSE_WIDTHS)
+    @pytest.mark.parametrize("rows", _TRANSPOSE_ROWS)
+    def test_matches_per_row_reference(self, width, rows):
+        rng = random.Random(width * 1000 + rows)
+        columns = [rng.getrandbits(rows) for _ in range(width)]
+        values = sim._region_values(columns, rows)
+        assert type(values) is tuple and all(type(v) is int for v in values)
+        assert values == reference_region_values(columns, rows)
+        assert sim._region_columns(values, width) == columns
+
+    @given(st.integers(0, 140), st.integers(1, 70), st.data())
+    def test_random_columns_round_trip(self, width, rows, data):
+        columns = data.draw(st.lists(st.integers(0, (1 << rows) - 1), min_size=width, max_size=width))
+        values = sim._region_values(columns, rows)
+        assert values == reference_region_values(columns, rows)
+        assert sim._region_columns(values, width) == columns
+
+
 def test_import_does_not_load_numpy():
     # a heavier import would cost start-up time and memory on every command
     src = str(Path(revcirc.__file__).resolve().parent.parent)
