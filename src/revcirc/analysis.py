@@ -14,10 +14,8 @@ because its report carries the per-output map.
 """
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Sequence
 
 from .ir import Machine
@@ -63,6 +61,8 @@ class GarbageProfile:
 
     def digest(self) -> str:
         """Stable hash of the sorted config set, for reproducible reports."""
+        import hashlib  # here, not at module level: most commands take no digest
+
         body = f"{self.garbage_bits}:" + ",".join(str(c) for c in self.configs)
         return hashlib.sha256(body.encode()).hexdigest()[:16]
 
@@ -158,6 +158,8 @@ def machine_id(machine: Machine, label: str | None = None) -> str:
     """A caller-supplied name, or a short stable hash of the canonical text."""
     if label is not None:
         return label
+    import hashlib
+
     from .fileformat import serialize
 
     return hashlib.sha256(serialize(machine).encode()).hexdigest()[:12]
@@ -249,9 +251,11 @@ def classify_growth(points: Sequence[tuple[int, int]]) -> tuple[str, dict]:
     if len(set(cs)) == 1:
         return "constant", details
 
-    slope = Fraction(cs[1] - cs[0], ns[1] - ns[0])
-    if all(Fraction(cs[i] - cs[0], ns[i] - ns[0]) == slope for i in range(1, len(pts))):
-        details["slope"] = float(slope)
+    # Affine exactly when every point's rise over run from the first equals the
+    # second point's, compared cross-multiplied in ints (every run is positive).
+    rise, run = cs[1] - cs[0], ns[1] - ns[0]
+    if all((cs[i] - cs[0]) * run == rise * (ns[i] - ns[0]) for i in range(2, len(pts))):
+        details["slope"] = rise / run  # int true division rounds correctly, as float(Fraction) does
         return "linear", details
 
     # Exponential signature: log-count grows by the same amount per unit size.

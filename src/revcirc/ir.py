@@ -14,15 +14,20 @@ attribute, read without hashing the member.
 Validation happens once, where a value enters: in the public `Gate`,
 `make_gate` and `Circuit` constructors and in the parser. `inverse`,
 `concat` and `remap` (after checking its line map) build from gates already
-valid, through `_trusted_gate` and `_trusted_circuit`, which skip
-`__post_init__`. Those two are private: a caller must have checked what
-`__post_init__` would.
+valid, and the trusted builders — the `library` machines and
+`transforms.copy_fanout` (after its own length, overlap and range checks) —
+build gates valid by construction. All of them go through `_trusted_gate`
+and `_trusted_circuit`, which skip `__post_init__`. Those two are private: a
+caller must have checked what `__post_init__` would. A `remap` whose map is
+the identity on the circuit's lines only widens it, so the result shares
+the circuit's Gate objects.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from itertools import chain
+from typing import Iterable, Mapping, Sequence
 
 
 class InvalidCircuitError(ValueError):
@@ -163,6 +168,8 @@ def remap(circuit: Circuit, line_map: Mapping[int, int], new_width: int) -> Circ
     bad = [i for i in image if not 0 <= i < new_width]
     if bad:
         raise InvalidCircuitError(f"line map image out of range [0, {new_width}): {bad}")
+    if image == list(range(circuit.width)):  # only a widening: the gates stay as they are
+        return _trusted_circuit(new_width, circuit.gates)
     # An injective map into [0, new_width) keeps every gate's lines distinct and in range.
     new_line = line_map.__getitem__
     gates = tuple(
@@ -177,6 +184,20 @@ def concat(a: Circuit, b: Circuit) -> Circuit:
     if a.width != b.width:
         raise InvalidCircuitError(f"width mismatch: {a.width} vs {b.width}")
     return _trusted_circuit(a.width, a.gates + b.gates)
+
+
+_flat = chain.from_iterable
+
+
+def _int_pairs(pairs: Iterable) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
+    """`pairs` as a tuple of (int, int) tuples, and flattened; exact-int tuple pairs are kept."""
+    pairs = tuple(pairs)
+    if {*map(type, pairs)} <= {tuple} and {*map(len, pairs)} <= {2}:
+        flat = tuple(_flat(pairs))
+        if {*map(type, flat)} <= {int}:
+            return pairs, flat
+    pairs = tuple((int(l), int(c)) for l, c in pairs)
+    return pairs, tuple(_flat(pairs))
 
 
 @dataclass(frozen=True)
@@ -198,32 +219,36 @@ class InterfaceSpec:
     restored_lines: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
+        # Each check runs over whole tuples in C; only a failed one walks the
+        # items, to name the first bad one.
         object.__setattr__(self, "input_lines", tuple(self.input_lines))
-        object.__setattr__(self, "preset_lines", tuple((int(l), int(c)) for l, c in self.preset_lines))
+        presets, preset_flat = _int_pairs(self.preset_lines)
+        object.__setattr__(self, "preset_lines", presets)
         object.__setattr__(self, "output_lines", tuple(self.output_lines))
         object.__setattr__(self, "garbage_lines", tuple(self.garbage_lines))
-        object.__setattr__(self, "restored_lines", tuple((int(l), int(c)) for l, c in self.restored_lines))
+        restored, restored_flat = _int_pairs(self.restored_lines)
+        object.__setattr__(self, "restored_lines", restored)
 
-        for line, const in self.preset_lines + self.restored_lines:
-            if const not in (0, 1):
-                raise InvalidCircuitError(f"constant for line {line} must be 0 or 1, got {const}")
+        if not {*preset_flat[1::2], *restored_flat[1::2]} <= {0, 1}:
+            for line, const in presets + restored:
+                if const not in (0, 1):
+                    raise InvalidCircuitError(f"constant for line {line} must be 0 or 1, got {const}")
 
+        self._check_partition("initial", (self.input_lines, preset_flat[::2]), self.width)
         self._check_partition(
-            "initial", (self.input_lines, tuple(l for l, _ in self.preset_lines)), self.width
+            "final", (self.output_lines, self.garbage_lines, restored_flat[::2]), self.width
         )
-        self._check_partition(
-            "final",
-            (self.output_lines, self.garbage_lines, tuple(l for l, _ in self.restored_lines)),
-            self.width,
-        )
-        presets = dict(self.preset_lines)
-        for line, const in self.restored_lines:
-            if line not in presets:
-                raise InvalidCircuitError(f"restored line {line} is not a preset line")
-            if presets[line] != const:
-                raise InvalidCircuitError(
-                    f"restored line {line} declares constant {const}, preset says {presets[line]}"
-                )
+        # Both partitions hold, so no line is preset or restored twice: each
+        # restored pair is a preset pair exactly when its line is preset to its constant.
+        if not set(presets).issuperset(restored):
+            preset_map = dict(presets)
+            for line, const in restored:
+                if line not in preset_map:
+                    raise InvalidCircuitError(f"restored line {line} is not a preset line")
+                if preset_map[line] != const:
+                    raise InvalidCircuitError(
+                        f"restored line {line} declares constant {const}, preset says {preset_map[line]}"
+                    )
 
     @staticmethod
     def _check_partition(which: str, groups: tuple[tuple[int, ...], ...], width: int) -> None:

@@ -3,10 +3,16 @@
 Shared layout conventions: line 0 is the least significant bit of the first
 register, carry/scratch lines come after all data registers, and carries are
 preset to 0 and left behind as garbage.
+
+Every gate here is valid by construction: its arity matches its kind and its
+lines are distinct and below the machine's width. So the circuits are built
+through `_trusted_gate`/`_trusted_circuit`, without a second check; the
+tests hold each machine equal to its rebuild through `Gate`/`Circuit`.
 """
 from __future__ import annotations
 
-from .ir import Circuit, Gate, GateKind, InterfaceSpec, InvalidCircuitError, Machine, concat
+from .ir import Gate, GateKind, InterfaceSpec, InvalidCircuitError, Machine, concat
+from .ir import _trusted_circuit, _trusted_gate
 
 _X, _CX, _CCX = GateKind.X, GateKind.CX, GateKind.CCX
 
@@ -29,13 +35,13 @@ def incrementer(n: int) -> Machine:
 
     gates: list[Gate] = []
     if c:
-        gates.append(Gate(_CCX, (a[0], a[1]), c[0]))
+        gates.append(_trusted_gate(_CCX, (a[0], a[1]), c[0]))
         for i in range(2, n - 1):
-            gates.append(Gate(_CCX, (c[i - 2], a[i]), c[i - 1]))
+            gates.append(_trusted_gate(_CCX, (c[i - 2], a[i]), c[i - 1]))
     for i in range(n - 1, 1, -1):
-        gates.append(Gate(_CX, (c[i - 2],), a[i]))
-    gates.append(Gate(_CX, (a[0],), a[1]))
-    gates.append(Gate(_X, (), a[0]))
+        gates.append(_trusted_gate(_CX, (c[i - 2],), a[i]))
+    gates.append(_trusted_gate(_CX, (a[0],), a[1]))
+    gates.append(_trusted_gate(_X, (), a[0]))
 
     iface = InterfaceSpec(
         width=width,
@@ -44,7 +50,7 @@ def incrementer(n: int) -> Machine:
         output_lines=tuple(a),
         garbage_lines=tuple(c),
     )
-    return Machine(Circuit(width, tuple(gates)), iface)
+    return Machine(_trusted_circuit(width, tuple(gates)), iface)
 
 
 def decrementer(n: int) -> Machine:
@@ -57,7 +63,7 @@ def decrementer(n: int) -> Machine:
     if n < 2:
         raise InvalidCircuitError(f"decrementer needs at least 2 bits, got {n}")
     inc = incrementer(n)
-    wrap = Circuit(inc.width, tuple(Gate(_X, (), line) for line in inc.iface.input_lines))
+    wrap = _trusted_circuit(inc.width, tuple(_trusted_gate(_X, (), line) for line in inc.iface.input_lines))
     return Machine(concat(concat(wrap, inc.circuit), wrap), inc.iface)
 
 
@@ -82,13 +88,13 @@ def ripple_adder(n: int) -> Machine:
     for i in range(n):
         carry_in = c[i - 1] if i > 0 else None
         if i < n - 1:
-            gates.append(Gate(_CCX, (a[i], b[i]), c[i]))
+            gates.append(_trusted_gate(_CCX, (a[i], b[i]), c[i]))
             if carry_in is not None:
-                gates.append(Gate(_CCX, (a[i], carry_in), c[i]))
-                gates.append(Gate(_CCX, (b[i], carry_in), c[i]))
-        gates.append(Gate(_CX, (b[i],), a[i]))
+                gates.append(_trusted_gate(_CCX, (a[i], carry_in), c[i]))
+                gates.append(_trusted_gate(_CCX, (b[i], carry_in), c[i]))
+        gates.append(_trusted_gate(_CX, (b[i],), a[i]))
         if carry_in is not None:
-            gates.append(Gate(_CX, (carry_in,), a[i]))
+            gates.append(_trusted_gate(_CX, (carry_in,), a[i]))
 
     iface = InterfaceSpec(
         width=width,
@@ -97,4 +103,4 @@ def ripple_adder(n: int) -> Machine:
         output_lines=tuple(a + b),
         garbage_lines=tuple(c),
     )
-    return Machine(Circuit(width, tuple(gates)), iface)
+    return Machine(_trusted_circuit(width, tuple(gates)), iface)

@@ -13,10 +13,19 @@ Two constructions, both classical and exact:
 
 Both rely on the same copy gadget: a bank of controlled-NOTs writes a copy
 onto zeroed lines, and (being self-inverse) erases one of two equal copies.
+
+Both also place a machine's circuit on a wider set of lines with `remap`.
+Where the machine keeps its own line numbers, that is only a widening,
+and the wider circuit shares the original's Gate objects. `bennett` always
+widens. `zero_garbage_compose` widens each machine it runs on the input
+region when its input lines come first and its presets next, as in every
+library machine; only the inverse machine aimed at the copy lines, and
+the copy gadgets, get new gates.
 """
 from __future__ import annotations
 
 from functools import reduce
+from itertools import repeat
 from typing import Sequence
 
 from .ir import (
@@ -30,6 +39,7 @@ from .ir import (
     inverse,
     remap,
 )
+from .ir import _trusted_circuit, _trusted_gate
 from .sim import EXHAUSTIVE_BOUND, truth_table
 
 
@@ -49,10 +59,14 @@ def copy_fanout(src: Sequence[int], dst: Sequence[int], width: int | None = None
         raise InvalidCircuitError(f"source has {len(src)} lines, destination {len(dst)}")
     if set(src) & set(dst):
         raise InvalidCircuitError(f"source and destination overlap on {sorted(set(src) & set(dst))}")
+    lines = src + dst
     if width is None:
-        width = max(src + dst, default=0) + 1
-    gates = tuple(Gate(GateKind.CX, (s,), d) for s, d in zip(src, dst))
-    return Circuit(width, gates)
+        width = max(lines, default=0) + 1
+    if width < 1 or lines and not (min(lines) >= 0 and max(lines) < width):
+        # Let the validating constructors name the first bad gate.
+        return Circuit(width, tuple(Gate(GateKind.CX, (s,), d) for s, d in zip(src, dst)))
+    # Disjoint source and destination lines, all in range, make every gate valid.
+    return _trusted_circuit(width, tuple(map(_trusted_gate, repeat(GateKind.CX), zip(src), dst)))
 
 
 def bennett(machine: Machine) -> Machine:

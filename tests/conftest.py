@@ -1,6 +1,9 @@
 """Shared strategies and machine rosters for the test suite."""
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 import pytest
 from hypothesis import strategies as st
 
@@ -8,8 +11,10 @@ from revcirc import (
     Circuit,
     Gate,
     GateKind,
+    InsufficientPointsError,
     InterfaceSpec,
     Machine,
+    analysis,
     bennett,
     decrementer,
     incrementer,
@@ -101,3 +106,75 @@ def small_machine_roster() -> list[tuple[str, Machine]]:
 @pytest.fixture(scope="session")
 def roster() -> list[tuple[str, Machine]]:
     return small_machine_roster()
+
+
+def reference_classify_growth(points):
+    """`classify_growth` as written with `Fraction` for its affine test, kept as its oracle."""
+    pts = sorted(set((int(n), int(c)) for n, c in points))
+    if len(pts) < 3:
+        raise InsufficientPointsError(f"need at least 3 distinct sizes, got {len(pts)}")
+    ns = [n for n, _ in pts]
+    cs = [c for _, c in pts]
+    details: dict = {"basis": "empirical at desk scale", "points_used": len(pts)}
+
+    if len(set(cs)) == 1:
+        return "constant", details
+
+    slope = Fraction(cs[1] - cs[0], ns[1] - ns[0])
+    if all(Fraction(cs[i] - cs[0], ns[i] - ns[0]) == slope for i in range(1, len(pts))):
+        details["slope"] = float(slope)
+        return "linear", details
+
+    rates = [
+        (math.log(cs[i + 1]) - math.log(cs[i])) / (ns[i + 1] - ns[i])
+        for i in range(len(pts) - 1)
+    ]
+    mean_rate = sum(rates) / len(rates)
+    spread = max(abs(r - mean_rate) for r in rates)
+    details["log_growth_per_size"] = round(mean_rate, 6)
+    if mean_rate >= math.log(1.4) and spread <= 0.15 * abs(mean_rate):
+        details["doubling_base"] = round(math.exp(mean_rate), 4)
+        return "superpolynomial-suspect", details
+
+    xs = [math.log(n) for n in ns]
+    ys = [math.log(c) for c in cs]
+    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+    var = sum((x - mx) ** 2 for x in xs)
+    loglog_slope = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / var
+    intercept = my - loglog_slope * mx
+    residuals = [abs(y - (loglog_slope * x + intercept)) for x, y in zip(xs, ys)]
+    details["loglog_slope"] = round(loglog_slope, 4)
+    details["max_log_residual"] = round(max(residuals), 4)
+    degree = round(loglog_slope)
+    if 0 < degree <= 4 and max(residuals) <= 0.25:
+        return f"polynomial-fit({degree})", details
+    return "superpolynomial-suspect", details
+
+
+def classified_or_refused(classify, points):
+    """What `classify` returns for `points`, or the class and message of what it raises."""
+    try:
+        label, details = classify(points)
+    except (ArithmeticError, ValueError) as exc:  # the error itself is the outcome compared
+        return type(exc), str(exc)
+    return label, details, list(details)
+
+
+CLASSIFY_GROWTH_CALLS: list = []
+
+
+@pytest.fixture(scope="session", autouse=True)
+def classify_growth_matches_reference():
+    """Every `classify_growth` call made through `growth_report` (and so the CLI) is held to the reference."""
+    real = analysis.classify_growth
+
+    def checked(points):
+        points = list(points)
+        CLASSIFY_GROWTH_CALLS.append(points)
+        got = classified_or_refused(real, points)
+        assert got == classified_or_refused(reference_classify_growth, points), points
+        return real(points)
+
+    analysis.classify_growth = checked
+    yield
+    analysis.classify_growth = real

@@ -38,6 +38,7 @@ from revcirc import (
     zero_garbage_compose,
 )
 from revcirc.analysis import ClauseResult
+from conftest import CLASSIFY_GROWTH_CALLS, classified_or_refused, reference_classify_growth
 from conftest import late_liar, machines
 
 GOLDEN = Path(__file__).resolve().parent.parent / "golden"
@@ -370,3 +371,55 @@ class TestGrowth:
     def test_classifier_labels_desk_scale(self):
         _, details = classify_growth([(n, n) for n in range(2, 6)])
         assert details["basis"] == "empirical at desk scale"
+
+
+@st.composite
+def growth_points(draw):
+    """(size, count) lists over distinct sizes: arbitrary, or exactly affine with a rational slope."""
+    if draw(st.booleans()):
+        counts = draw(st.dictionaries(st.integers(1, 64), st.integers(0, 10**6), max_size=8))
+        return list(counts.items())
+    step, rise, start = draw(st.integers(1, 7)), draw(st.integers(-50, 50)), draw(st.integers(0, 10**4))
+    ks = draw(st.lists(st.integers(1, 40), min_size=3, max_size=8, unique=True))
+    return [(step * k, rise * k + start) for k in ks]
+
+
+class TestClassifyGrowthMatchesReference:
+    """Integer cross-multiplication reads growth exactly as the `Fraction` form did."""
+
+    @given(growth_points())
+    def test_point_lists(self, points):
+        assert classified_or_refused(classify_growth, points) == classified_or_refused(
+            reference_classify_growth, points
+        )
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [(n, n * n) for n in range(2, 9)],
+            [(n, n**3) for n in range(2, 9)],
+            [(n, 2**n) for n in range(2, 9)],
+            [(n, n) for n in range(2, 6)],
+            [(3, 1), (6, 2), (9, 3)],  # slope 1/3, rounded once
+            [(1, 10**30), (2, 10**30 + 7), (3, 10**30 + 14)],  # counts past float precision
+            [(2, 5), (3, 5), (4, 5)],
+            [(2, 1), (3, 2)],
+        ],
+    )
+    def test_every_direct_call(self, points):
+        assert classified_or_refused(classify_growth, points) == classified_or_refused(
+            reference_classify_growth, points
+        )
+
+    @pytest.mark.parametrize("points", [[(2, 1), (2, 3), (3, 5)], [(2, 1), (2, 3), (2, 5)]])
+    def test_repeated_sizes_still_divide_by_zero(self, points):
+        # The message moved from Fraction's to float division's; the class did not.
+        for classify in (classify_growth, reference_classify_growth):
+            with pytest.raises(ZeroDivisionError):
+                classify(points)
+
+    def test_growth_report_goes_through_the_checked_classifier(self):
+        calls = len(CLASSIFY_GROWTH_CALLS)
+        report = growth_report(incrementer, range(2, 7))
+        assert len(CLASSIFY_GROWTH_CALLS) == calls + 1
+        assert report.classification == "linear" and report.fit_details["slope"] == 1.0

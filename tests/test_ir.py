@@ -139,6 +139,82 @@ class TestRemap:
         assert len(shifted.gates) == len(c.gates)
         assert [g.kind for g in shifted.gates] == [g.kind for g in c.gates]
 
+    @pytest.mark.parametrize("extra", [0, 1, 7])
+    def test_identity_map_shares_the_gates(self, extra):
+        for m in (incrementer(5), decrementer(40), parse_circuit((GOLDEN / "incrementer_5.rvc").read_text())):
+            c = m.circuit
+            widened = remap(c, {i: i for i in range(c.width)}, c.width + extra)
+            assert widened.width == c.width + extra
+            assert len(widened.gates) == len(c.gates)
+            assert all(new is old for new, old in zip(widened.gates, c.gates))
+
+    def test_bennett_widening_shares_the_gates(self):
+        m = decrementer(6)
+        gates = bennett(m).circuit.gates
+        assert all(new is old for new, old in zip(gates, m.circuit.gates))
+        assert all(new is old for new, old in zip(gates[::-1], m.circuit.gates))
+
+
+def reference_remap(circuit: Circuit, line_map, new_width: int) -> Circuit:
+    """`remap` as written before an identity map shared its gates."""
+    missing = [line for line in range(circuit.width) if line not in line_map]
+    if missing:
+        raise InvalidCircuitError(f"line map is not defined on lines {missing}")
+    image = [line_map[line] for line in range(circuit.width)]
+    if len(set(image)) != len(image):
+        raise InvalidCircuitError("non-injective line map")
+    bad = [i for i in image if not 0 <= i < new_width]
+    if bad:
+        raise InvalidCircuitError(f"line map image out of range [0, {new_width}): {bad}")
+    new_line = line_map.__getitem__
+    gates = tuple(
+        _trusted_gate(g.kind, tuple(map(new_line, g.controls)), new_line(g.target))
+        for g in circuit.gates
+    )
+    return _trusted_circuit(new_width, gates)
+
+
+@st.composite
+def line_maps(draw):
+    """A circuit, a line map and a new width: injective, identity, or with one flaw."""
+    c = draw(machines()).circuit
+    new_width = c.width + draw(st.integers(-1, 3))
+    lines = list(range(c.width))
+    flaw = draw(st.sampled_from(["none", "identity", "missing", "collide", "outside"]))
+    if flaw == "identity":
+        return c, {i: i for i in lines}, max(new_width, c.width)
+    image = draw(st.permutations(range(max(new_width, c.width))))[: c.width]
+    line_map = dict(zip(lines, image))
+    if flaw == "missing":
+        del line_map[draw(st.sampled_from(lines))]
+    elif flaw == "collide" and c.width > 1:
+        a, b = draw(st.lists(st.sampled_from(lines), min_size=2, max_size=2, unique=True))
+        line_map[a] = line_map[b]
+    elif flaw == "outside":
+        line_map[draw(st.sampled_from(lines))] = draw(st.sampled_from([-1, new_width, new_width + 4]))
+    if draw(st.booleans()):
+        line_map[c.width + draw(st.integers(0, 3))] = draw(st.integers(-2, 12))  # off the circuit: ignored
+    return c, line_map, new_width
+
+
+class TestRemapMatchesReference:
+    """Same circuit, or the same error class and message (so the same check order), as before."""
+
+    @given(line_maps())
+    @example((Circuit(3), {0: 0, 1: 1}, 3))  # missing
+    @example((Circuit(3), {0: 5, 1: 5}, 3))  # missing before non-injective
+    @example((Circuit(2), {0: 1, 1: 1}, 2))  # non-injective
+    @example((Circuit(2), {0: 5, 1: 5}, 2))  # non-injective before out of range
+    @example((Circuit(2), {0: 0, 1: 5}, 2))  # out of range
+    @example((Circuit(2), {0: -1, 1: 0}, 2))
+    @example((Circuit(2, (Gate(GateKind.CX, (0,), 1),)), {0: 0, 1: 1}, 1))  # identity, too narrow
+    def test_matches(self, args):
+        got = built_or_refused(remap, *args)
+        assert got == built_or_refused(reference_remap, *args)
+        if isinstance(got, Circuit):
+            assert type(got.gates) is tuple
+            assert_as_if_validated(got)
+
 
 class TestConcat:
     def test_orders_gates(self):
@@ -471,6 +547,99 @@ def role_declarations(draw):
     return tuple(fields)
 
 
+class Line(int):
+    """An int subclass with its own repr, so a field that kept it instead of an int shows."""
+
+    def __repr__(self) -> str:
+        return f"Line({int(self)})"
+
+
+def fields_or_error(build, args):
+    """The interface fields `build` gives, with their repr (which tells a bool or Line from an int), or its error."""
+    try:
+        value = build(*args)
+    except (InvalidCircuitError, ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+    fields = value if isinstance(value, tuple) else tuple(getattr(value, f.name) for f in dataclasses.fields(value))
+    return fields, repr(fields)
+
+
+def large_declaration(k: int = 2000, s: int = 1500) -> list:
+    """k inputs that are also the outputs; s presets of alternating constants, all restored."""
+    presets = tuple((k + j, j % 2) for j in range(s))
+    return [k + s, tuple(range(k)), presets, tuple(range(k)), (), presets]
+
+
+def as_lists(pairs):
+    return [[line, const] for line, const in pairs]
+
+
+def last_edited(pairs, edit):
+    return tuple(pairs[:-1]) + (edit(pairs[-1]),)
+
+
+def large_edit(edit: str) -> list:
+    args = large_declaration()
+    width, inputs, presets, outputs, _, restored = args
+    if edit == "lists":
+        args[2], args[5] = as_lists(presets), as_lists(restored)
+    elif edit == "bools":
+        args[2] = tuple((line, bool(const)) for line, const in presets)
+    elif edit == "subclass":
+        args[2] = tuple((Line(line), const) for line, const in presets)
+        args[5] = tuple((line, Line(const)) for line, const in restored)
+    elif edit == "one list last":
+        args[5] = last_edited(restored, list)
+    elif edit == "one bool last":
+        args[2] = last_edited(presets, lambda p: (p[0], bool(p[1])))
+    elif edit == "bad constant last":
+        args[5] = last_edited(restored, lambda p: (p[0], 2))
+    elif edit == "other constant last":
+        args[5] = last_edited(restored, lambda p: (p[0], 1 - p[1]))
+    elif edit == "unpreset last":
+        # Input line 0 declared restored instead of output; the last preset becomes garbage.
+        args[3], args[4] = outputs[1:], (restored[-1][0],)
+        args[5] = restored[:-1] + ((0, 0),)
+    elif edit == "twice last":
+        args[5] = restored + (restored[0],)
+    elif edit == "three last":
+        args[2] = last_edited(presets, lambda p: (*p, 0))
+    elif edit == "partial":
+        args[4], args[5] = (restored[-1][0],), restored[:-1]  # bennett-like: a preset left as garbage
+    elif edit == "out of range last":
+        args[2] = last_edited(presets, lambda p: (width, p[1]))
+    return args
+
+
+LARGE_EDITS = [
+    "none", "lists", "bools", "subclass", "one list last", "one bool last", "bad constant last",
+    "other constant last", "unpreset last", "twice last", "three last", "partial", "out of range last",
+]
+
+
+@st.composite
+def retyped_declarations(draw):
+    """role_declarations() with pairs given as lists, bools or Line, each chosen per pair."""
+    args = list(draw(role_declarations()))
+    retype = st.sampled_from(["keep", "list", "bool line", "bool const", "Line"])
+    for i in (2, 5):
+        pairs = []
+        for line, const in args[i]:
+            how = draw(retype)
+            if how == "list":
+                pairs.append([line, const])
+            elif how == "bool line" and line in (0, 1):
+                pairs.append((bool(line), const))
+            elif how == "bool const" and const in (0, 1):
+                pairs.append((line, bool(const)))
+            elif how == "Line":
+                pairs.append((Line(line), Line(const)))
+            else:
+                pairs.append((line, const))
+        args[i] = draw(st.sampled_from([tuple, list]))(pairs)
+    return tuple(args)
+
+
 class TestChecksMatchReference:
     """The public constructors refuse what the reference checks refuse, with their messages."""
 
@@ -500,3 +669,15 @@ class TestChecksMatchReference:
     @example((2, (0,), ((1, 0),), (0,), (), ((1, 1),)))  # restored with the other constant
     def test_interface(self, args):
         assert built_or_refused(InterfaceSpec, *args) == built_or_refused(reference_interface, *args)
+
+    @pytest.mark.parametrize("edit", LARGE_EDITS)
+    def test_interface_large(self, edit):
+        args = large_edit(edit)
+        got = fields_or_error(InterfaceSpec, args)
+        assert got == fields_or_error(reference_interface, args)
+        if edit in ("none", "partial"):
+            assert isinstance(got[0], tuple) and got[0][2] is args[2]  # exact-int pairs kept as given
+
+    @given(retyped_declarations())
+    def test_interface_retyped(self, args):
+        assert fields_or_error(InterfaceSpec, args) == fields_or_error(reference_interface, args)

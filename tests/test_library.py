@@ -4,8 +4,12 @@ from __future__ import annotations
 import pytest
 
 from revcirc import (
+    Circuit,
+    Gate,
     GateKind,
+    InterfaceSpec,
     InvalidCircuitError,
+    Machine,
     decrementer,
     garbage_profile,
     incrementer,
@@ -147,3 +151,42 @@ class TestRippleAdder:
     def test_too_small_rejected(self):
         with pytest.raises(InvalidCircuitError, match="at least 1"):
             ripple_adder(0)
+
+
+def rebuilt(m: Machine) -> Machine:
+    """`m` rebuilt from its parts through the validating public constructors."""
+    def pairs(lines):  # as lists, which InterfaceSpec turns back into int tuples
+        return [[line, const] for line, const in lines]
+
+    gates = tuple(Gate(g.kind, list(g.controls), g.target) for g in m.circuit.gates)
+    iface = m.iface
+    return Machine(
+        Circuit(m.width, list(gates)),
+        InterfaceSpec(
+            iface.width,
+            list(iface.input_lines),
+            pairs(iface.preset_lines),
+            list(iface.output_lines),
+            list(iface.garbage_lines),
+            pairs(iface.restored_lines),
+        ),
+    )
+
+
+LIBRARY_SIZES = (
+    [("incrementer", n) for n in [*range(2, 65), 3000]]
+    + [("decrementer", n) for n in [*range(2, 65), 3000]]
+    + [("ripple_adder", n) for n in [*range(1, 41), 2000]]
+)
+BUILDERS = {"incrementer": incrementer, "decrementer": decrementer, "ripple_adder": ripple_adder}
+
+
+class TestTrustedBuilders:
+    """Machines built without a second check equal their rebuild through `Gate`/`Circuit`."""
+
+    @pytest.mark.parametrize("name,n", LIBRARY_SIZES, ids=[f"{b}({n})" for b, n in LIBRARY_SIZES])
+    def test_equals_validated_rebuild(self, name, n):
+        m = BUILDERS[name](n)
+        assert m == rebuilt(m)
+        assert type(m.circuit.gates) is tuple
+        assert all(type(g.controls) is tuple and len(g.controls) == g.kind.n_controls for g in m.circuit.gates)

@@ -2,10 +2,14 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from revcirc import (
     BitState,
     Circuit,
+    Gate,
+    GateKind,
     InterfaceSpec,
     InvalidCircuitError,
     Machine,
@@ -170,3 +174,58 @@ class TestZeroGarbageCompose:
 
 def zero_garbage_compose_pair(n: int):
     return zero_garbage_compose(incrementer(n), decrementer(n))
+
+
+def reference_copy_fanout(src, dst, width=None) -> Circuit:
+    """`copy_fanout` as written before it built through the trusted constructors."""
+    src = tuple(src)
+    dst = tuple(dst)
+    if len(src) != len(dst):
+        raise InvalidCircuitError(f"source has {len(src)} lines, destination {len(dst)}")
+    if set(src) & set(dst):
+        raise InvalidCircuitError(f"source and destination overlap on {sorted(set(src) & set(dst))}")
+    if width is None:
+        width = max(src + dst, default=0) + 1
+    gates = tuple(Gate(GateKind.CX, (s,), d) for s, d in zip(src, dst))
+    return Circuit(width, gates)
+
+
+def built_or_refused(build, *args):
+    try:
+        return build(*args)
+    except InvalidCircuitError as exc:
+        return type(exc), str(exc)
+
+
+_FANOUT_LINES = st.lists(st.integers(-2, 9), max_size=5)
+
+
+class TestCopyFanoutMatchesReference:
+    """Same circuit, or the same error class and message, as the validating form."""
+
+    @given(_FANOUT_LINES, _FANOUT_LINES, st.one_of(st.none(), st.integers(-1, 10)))
+    @example([0, 1], [2], None)  # length mismatch
+    @example([0, 1], [1, 2], 3)  # overlap
+    @example([0, -1], [2, 3], 4)  # negative line
+    @example([0, 1], [2, -1], None)  # negative line, width from the lines
+    @example([0, 1], [2, 4], 4)  # a line at the width
+    @example([5, 1], [2, 3], 4)  # a line past the width, first gate
+    @example([0, 1], [2, 3], 0)  # width not positive
+    @example([-1], [2], 0)  # negative line and width not positive: the line is named
+    @example([], [], None)
+    @example([], [], 0)
+    @example([0, 0], [1, 2], None)  # one source fanned out twice
+    @example([0, 1], [2, 2], 3)  # one destination written twice
+    def test_matches(self, src, dst, width):
+        got = built_or_refused(copy_fanout, src, dst, width)
+        assert got == built_or_refused(reference_copy_fanout, src, dst, width)
+        if isinstance(got, Circuit):
+            assert type(got.gates) is tuple
+            assert all(type(g.controls) is tuple for g in got.gates)
+
+    @pytest.mark.parametrize("k", [1, 3000])
+    def test_large_banks(self, k):
+        src, dst = range(k), range(k, 2 * k)
+        for width in (None, 2 * k, 2 * k + 5, 2 * k - 1):
+            got = built_or_refused(copy_fanout, src, dst, width)
+            assert got == built_or_refused(reference_copy_fanout, src, dst, width)
