@@ -244,6 +244,9 @@ def classify_growth(points: Sequence[tuple[int, int]]) -> tuple[str, dict]:
     pts = sorted(set((int(n), int(c)) for n, c in points))
     if len(pts) < 3:
         raise InsufficientPointsError(f"need at least 3 distinct sizes, got {len(pts)}")
+    for (n, c), (m, d) in zip(pts, pts[1:]):
+        if n == m:
+            raise ValueError(f"size {n} has two counts, {c} and {d}")
     ns = [n for n, _ in pts]
     cs = [c for _, c in pts]
     details: dict = {"basis": "empirical at desk scale", "points_used": len(pts)}

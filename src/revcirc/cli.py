@@ -4,7 +4,8 @@ Every command reads/writes the .rvc format, prints a human-readable report by
 default, and a single JSON object with `--json`. Bitstrings on the command
 line are little-endian with respect to the region's declared line order: the
 leftmost character is the region's first listed line, which is bit 0 of the
-integer encoding.
+integer encoding. Every pass is one `sim._run`, except that `sim --backward`
+runs the gates back from the whole state it is given.
 
 Exit codes: 0 success, 1 usage error, 2 invalid circuit or document,
 3 inversion failure, 4 exhaustive bound exceeded.
@@ -16,7 +17,6 @@ import sys
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import Iterable, Sequence
 
 import click
 
@@ -24,7 +24,7 @@ from . import library
 from .analysis import ConformanceReport, garbage_profile, growth_report, machine_id
 from .fileformat import parse_circuit, serialize
 from .invert import InversionError, invert_blind, invert_with_profile
-from .ir import Gate, InvalidCircuitError, Machine, inverse_machine
+from .ir import InvalidCircuitError, Machine, inverse_machine
 from .sim import (
     EXHAUSTIVE_BOUND,
     ExhaustiveBoundError,
@@ -33,7 +33,7 @@ from .sim import (
     is_injective,
     truth_table,
 )
-from .sim import _apply_gates
+from .sim import _apply_gates, _held, _lane, _lane_value, _run
 from .transforms import bennett, zero_garbage_compose
 
 
@@ -60,17 +60,6 @@ def _bits_to_int(bits: str, what: str, expected_len: int) -> int:
 
 def _int_to_bits(value: int, width: int) -> str:
     return format(value, f"0{width}b")[::-1] if width else ""
-
-
-def _run_one_lane(lines: list[int], gates: Iterable[Gate]) -> str:
-    """Apply `gates` to one state of 0/1 `lines` through the bit-sliced core; the final state's bits."""
-    _apply_gates(lines, gates, 1)
-    return "".join(map(str, lines))
-
-
-def _region_value(state: str, region: Sequence[int]) -> int:
-    """The `region` lines of a bit string read as an integer; the first listed line is bit 0."""
-    return int("".join([state[line] for line in reversed(region)]) or "0", 2)
 
 
 def _row_template(rows: list, pad: str) -> str | None:
@@ -147,10 +136,11 @@ def sim(path: str, bits: str | None, value: int | None, backward: bool, as_json:
     if backward:
         if value is not None:
             raise click.UsageError("--backward needs the full final state via -x, not --int")
-        _bits_to_int(bits, "final state", iface.width)  # validates the state
-        start = _run_one_lane(list(map(int, bits)), reversed(machine.circuit.gates))
-        input_value = _region_value(start, iface.input_lines)
-        presets_ok = all(start[l] == str(c) for l, c in iface.preset_lines)
+        lines = _lane(_bits_to_int(bits, "final state", iface.width), iface.width)
+        _apply_gates(lines, reversed(machine.circuit.gates), 1)  # from the whole given state
+        start = "".join(map(str, lines))
+        input_value = _lane_value(lines, iface.input_lines)
+        presets_ok = _held(lines, iface.preset_lines, 1) == 1
         report = {
             "command": "sim",
             "direction": "backward",
@@ -170,14 +160,10 @@ def sim(path: str, bits: str | None, value: int | None, backward: bool, as_json:
     x = value if value is not None else _bits_to_int(bits, "input region", iface.input_width)
     if not 0 <= x < (1 << iface.input_width):
         raise click.UsageError(f"input value {x} does not fit {iface.input_width} bits")
-    lines = [0] * iface.width
-    for line, const in iface.preset_lines:
-        lines[line] = const
-    for line, bit in zip(iface.input_lines, _int_to_bits(x, iface.input_width)):
-        lines[line] = int(bit)
-    final = _run_one_lane(lines, machine.circuit.gates)
-    out = _region_value(final, iface.output_lines)
-    garbage = _region_value(final, iface.garbage_lines)
+    lines = _run(machine, _lane(x, iface.input_width), 1)
+    final = "".join(map(str, lines))
+    out = _lane_value(lines, iface.output_lines)
+    garbage = _lane_value(lines, iface.garbage_lines)
     report = {
         "command": "sim",
         "direction": "forward",

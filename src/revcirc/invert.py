@@ -13,16 +13,15 @@ A guess is accepted exactly when the backward pass lands every preset line on
 its declared constant; reversibility then guarantees the recovered input
 really maps to the requested output.
 
-Both inverters test guesses by bit-sliced backward runs, as `truth_table`
-runs inputs forward: each line is one integer with a bit per guess, so a gate
-costs one big-integer operation for all of them. `invert_blind` runs at most
-min(budget, 2^k) values backward: a budget of 2^k or more runs all 2^k values
-once, over `sim._domain(k)`, for the set that fits, and reads the seeded
-`getrandbits(k)` draws against it (an empty set ends the search before any
-draw); a smaller budget runs its draws themselves. Every pass and scan holds
-at most 2^`sim._CHUNK_BITS` values, the bound every enumeration shares.
-Trials count single guesses. The accepted guess's input is read from a
-one-lane call of the same backward pass; nothing runs on single states.
+Every pass is one backward `sim._run`, with a lane per guess, and a guess
+fits where `sim._held` finds every preset line at its constant.
+`invert_blind` runs at most min(budget, 2^k) values backward: a budget of
+2^k or more runs all 2^k values once, over `sim._domain(k)`, for the set that
+fits, and reads the seeded `getrandbits(k)` draws against it (an empty set
+ends the search before any draw); a smaller budget runs its draws themselves.
+Every pass and scan holds at most 2^`sim._CHUNK_BITS` values, the bound every
+enumeration shares. Trials count single guesses. The accepted guess's input
+is read from a one-lane pass; nothing runs on single states.
 """
 from __future__ import annotations
 
@@ -34,7 +33,7 @@ from typing import Sequence
 from .ir import InvalidCircuitError, Machine
 from . import sim
 from .sim import EXHAUSTIVE_BOUND, ExhaustiveBoundError
-from .sim import _apply_gates, _region_columns, _region_values
+from .sim import _held, _lane, _lane_value, _region_columns, _run
 from .analysis import GarbageProfile
 
 
@@ -78,38 +77,21 @@ def _check_output(machine: Machine, y: int) -> None:
         raise InvalidCircuitError(f"output value {y} does not fit the {width}-bit output region")
 
 
-def _backward(machine: Machine, y: int, garbage_columns: list[int], full: int) -> list[int]:
-    """Each line's start value, bit-sliced: guess j (bit j of each garbage column) run back from `y`."""
-    iface = machine.iface
-    lines = [0] * iface.width
-    for i, line in enumerate(iface.output_lines):
-        lines[line] = full if y >> i & 1 else 0
-    for line, column in zip(iface.garbage_lines, garbage_columns):
-        lines[line] = column
-    for line, const in iface.restored_lines:
-        lines[line] = full if const else 0
-    _apply_gates(lines, reversed(machine.circuit.gates), full)
-    return lines
-
-
 def _fits(machine: Machine, y: int, garbage_columns: list[int], full: int) -> int:
-    """Bit j is set iff guess j runs back onto every preset constant.
+    """Bit j is set iff guess j (bit j of each garbage column) runs back from `y` onto the presets.
 
-    Reversibility takes such a start forward to `y` and the guess again, so a
-    fit needs no forward check.
+    Reversibility takes such a start forward to `y` and the guess again: no forward check is needed.
     """
-    lines = _backward(machine, y, garbage_columns, full)
-    fits = full
-    for line, const in machine.iface.preset_lines:
-        fits &= lines[line] if const else ~lines[line]
-    return fits
+    iface = machine.iface
+    columns = [full * bit for bit in _lane(y, iface.output_width)] + garbage_columns
+    return _held(_run(machine, columns, full, backward=True), iface.preset_lines, full)
 
 
 def _input_of(machine: Machine, y: int, config: int) -> int:
-    """The input an accepted guess runs back to, from a one-lane `_backward` pass."""
+    """The input an accepted guess runs back to, from a one-lane backward `_run`."""
     iface = machine.iface
-    lines = _backward(machine, y, _region_columns([config], iface.garbage_width), 1)
-    return _region_values([lines[line] for line in iface.input_lines], 1)[0]
+    state = _lane(y | config << iface.output_width, iface.output_width + iface.garbage_width)
+    return _lane_value(_run(machine, state, 1, backward=True), iface.input_lines)
 
 
 def _fit_table(machine: Machine, y: int) -> str:

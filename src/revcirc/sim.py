@@ -3,20 +3,19 @@
 Single-state simulation is deliberately literal: a state is a vector of bits,
 a gate flips one of them, and a run applies the gate list in order (or
 reversed). `run` and `BitState` are the public single-state API and the
-oracle the tests hold the table against; the CLI's `sim` runs one state
-through the bit-sliced core (`_apply_gates` on one-bit lines) instead.
+oracle for the bit-sliced `_run`, which makes every other pass of every
+command, forward or backward, over a chunk or one lane: each line is one
+integer holding its value on every lane, so a gate costs one big-integer
+operation over all of them, and `_held` masks the lanes that hold constants.
 
-All whole-function claims are checked by enumerating the input space.
-`truth_table` does that bit-sliced: each line is one integer holding its
-value on every input of a chunk, so a gate costs one big-integer operation
-over the chunk. Every enumeration of 2^b values, inputs run forward here and
-garbage values run backward in `invert`, walks `_domain(b)`: chunks of at
-most 2^`_CHUNK_BITS` values in ascending order, so its memory does not grow
-with b. A chunk's region lines become one integer per input in
-`_region_values`, which packs up to 64 lines into a word per input and
-reads the words back as an array, so that step is C work per input too.
-Enumeration is refused above a configurable bound so exponential work never
-happens by accident.
+All whole-function claims are checked by enumerating the input space. Every
+enumeration of 2^b values, inputs run forward here and garbage values run
+backward in `invert`, walks `_domain(b)`: chunks of at most 2^`_CHUNK_BITS`
+values in ascending order, so its memory does not grow with b. A chunk's
+region lines become one integer per input in `_region_values`, which packs
+up to 64 lines into a word per input and reads the words back as an array,
+so that step is C work per input too. Enumeration is refused above a
+configurable bound so exponential work never happens by accident.
 """
 from __future__ import annotations
 
@@ -25,7 +24,7 @@ from array import array
 from dataclasses import dataclass
 from functools import reduce
 from itertools import repeat
-from operator import iadd, itemgetter, lshift, or_
+from operator import and_, iadd, lshift, or_
 from typing import Iterable, Iterator, Sequence
 
 from .ir import Circuit, Gate, InvalidCircuitError, Machine
@@ -285,6 +284,41 @@ def _apply_gates(lines: list[int], gates: Iterable[Gate], full: int) -> None:
             lines[gate.target] ^= full
 
 
+def _run(machine: Machine, columns: Sequence[int], full: int, backward: bool = False) -> list[int]:
+    """Every line's value after one bit-sliced pass, with a lane per bit of `full`.
+
+    Forward, `columns` start the input lines and each preset line its constant.
+    Backward, they start the output and then the garbage lines, each restored
+    line its constant, and the gates run in reverse to the start state.
+    """
+    iface, gates = machine.iface, machine.circuit.gates
+    starts, constants = iface.input_lines, iface.preset_lines
+    if backward:
+        starts, constants, gates = iface.output_lines + iface.garbage_lines, iface.restored_lines, reversed(gates)
+    lines = [0] * iface.width
+    for line, column in zip(starts, columns):
+        lines[line] = column
+    for line, const in constants:
+        lines[line] = full if const else 0
+    _apply_gates(lines, gates, full)
+    return lines
+
+
+def _held(lines: Sequence[int], pairs: Iterable[tuple[int, int]], full: int) -> int:
+    """The lanes of `full` on which every (line, constant) pair holds, as a mask."""
+    return reduce(and_, (lines[line] if const else ~lines[line] for line, const in pairs), full)
+
+
+def _lane(value: int, width: int) -> list[int]:
+    """The `width` bits of `value` as one lane's 0/1 columns, bit 0 first."""
+    return list(map(int, format(value, f"0{width}b")[::-1])) if width else []
+
+
+def _lane_value(lines: Sequence[int], region: Sequence[int]) -> int:
+    """The `region` lines of one lane of 0/1 `lines`, read as an integer; the first listed line is bit 0."""
+    return int("".join([str(lines[line]) for line in reversed(region)]) or "0", 2)
+
+
 def _final_lines(machine: Machine, max_input_bits: int) -> Iterator[tuple[int, list[int]]]:
     """Every line's final value, bit-sliced, on each `_domain` chunk of inputs in turn.
 
@@ -296,17 +330,12 @@ def _final_lines(machine: Machine, max_input_bits: int) -> Iterator[tuple[int, l
     iface = machine.iface
     check_enumeration_bound(iface.input_width, max_input_bits)
     for chunk, (full, columns) in enumerate(_domain(iface.input_width)):
-        lines = [0] * iface.width
-        for line, column in zip(iface.input_lines, columns):
-            lines[line] = column
-        for line, const in iface.preset_lines:
-            lines[line] = full if const else 0
-        _apply_gates(lines, machine.circuit.gates, full)
-        mismatches = ((lines[line] ^ (full if const else 0), line, const) for line, const in iface.restored_lines)
-        base = chunk * full.bit_length()  # the chunk's first input
-        witnesses = [(base + (m & -m).bit_length() - 1, line, const) for m, line, const in mismatches if m]
-        if witnesses:
-            x, line, const = min(witnesses, key=itemgetter(0))  # the first listed line on a tie
+        lines = _run(machine, columns, full)
+        failed = full & ~_held(lines, iface.restored_lines, full)
+        if failed:
+            lane = failed & -failed  # the lowest failing input
+            line, const = next(pair for pair in iface.restored_lines if not _held(lines, (pair,), lane))
+            x = chunk * full.bit_length() + lane.bit_length() - 1
             raise RestorationViolationError(x, line, const, 1 - const)
         yield full, lines
 
@@ -314,10 +343,9 @@ def _final_lines(machine: Machine, max_input_bits: int) -> Iterator[tuple[int, l
 def truth_table(machine: Machine, max_input_bits: int = EXHAUSTIVE_BOUND) -> FunctionTable:
     """Materialize the machine's whole function, evaluating a chunk of inputs at once.
 
-    Each chunk's bit-sliced lines (`_final_lines`, which checks the bound and
-    the restored lines) are transposed into one output and garbage value per
-    input. A lone chunk's tuples pass through whole, as `tuple()` of a tuple
-    is free; more chunks are extended into one list.
+    Each `_final_lines` chunk, checked for the bound and the restored lines, is
+    transposed into one output and garbage value per input. A lone chunk's
+    tuples pass through whole, as `tuple()` of a tuple is free.
     """
     iface = machine.iface
     outputs: list[tuple[int, ...]] = []

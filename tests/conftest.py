@@ -18,6 +18,7 @@ from revcirc import (
     bennett,
     decrementer,
     incrementer,
+    make_gate,
     parse_circuit,
     ripple_adder,
     zero_garbage_compose,
@@ -81,6 +82,24 @@ def late_liar(tie: bool = False) -> Machine:
         "width 5\ninput 0 1 2\npreset 3=0 4=0\noutput 0 1\ngarbage 2\nrestored 4=0 3=0\n"
         f"gate ccx 0 2 3\ngate ccx {second} 4\n"
     )
+
+
+def copy_machine(k: int, width: int) -> Machine:
+    """k input lines that double as garbage; line k + i gets a copy of input i.
+
+    The remaining lines are untouched presets at 0, and every line from k up
+    is output, so garbage g fits output y iff y is g on its low k bits and 0
+    above them.
+    """
+    gates = tuple(make_gate("cx", [i], k + i) for i in range(k))
+    iface = InterfaceSpec(
+        width=width,
+        input_lines=tuple(range(k)),
+        preset_lines=tuple((line, 0) for line in range(k, width)),
+        output_lines=tuple(range(k, width)),
+        garbage_lines=tuple(range(k)),
+    )
+    return Machine(Circuit(width, gates), iface)
 
 
 def small_machine_roster() -> list[tuple[str, Machine]]:

@@ -411,12 +411,28 @@ class TestClassifyGrowthMatchesReference:
             reference_classify_growth, points
         )
 
-    @pytest.mark.parametrize("points", [[(2, 1), (2, 3), (3, 5)], [(2, 1), (2, 3), (2, 5)]])
-    def test_repeated_sizes_still_divide_by_zero(self, points):
-        # The message moved from Fraction's to float division's; the class did not.
-        for classify in (classify_growth, reference_classify_growth):
-            with pytest.raises(ZeroDivisionError):
-                classify(points)
+    @pytest.mark.parametrize(
+        "points,size,counts",
+        [
+            ([(2, 1), (2, 3), (3, 5)], 2, (1, 3)),
+            ([(3, 5), (2, 3), (2, 1), (2, 3)], 2, (1, 3)),
+            ([(2, 1), (3, 4), (3, 2), (4, 9)], 3, (2, 4)),
+            ([(2, 5), (2, 3), (2, 1)], 2, (1, 3)),
+        ],
+    )
+    def test_repeated_sizes_refused(self, points, size, counts):
+        # Refused before any arithmetic; the reference, which hypothesis never
+        # hands a repeated size, still divides by zero on these.
+        with pytest.raises(ValueError) as exc:
+            classify_growth(points)
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == f"size {size} has two counts, {counts[0]} and {counts[1]}"
+        with pytest.raises(ZeroDivisionError):
+            reference_classify_growth(points)
+
+    def test_too_few_points_refused_before_a_repeated_size(self):
+        with pytest.raises(InsufficientPointsError, match="got 2"):
+            classify_growth([(2, 1), (2, 3), (2, 1)])
 
     def test_growth_report_goes_through_the_checked_classifier(self):
         calls = len(CLASSIFY_GROWTH_CALLS)

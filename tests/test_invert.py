@@ -35,7 +35,7 @@ from revcirc import (
 )
 from revcirc import invert, sim
 
-from conftest import late_liar, machines
+from conftest import copy_machine, late_liar, machines
 
 
 def reference_trial(machine: Machine, y: int, config: int) -> BitState | None:
@@ -105,24 +105,6 @@ def budget_edges(machine: Machine) -> list[int]:
     """Budgets at the edges of the draw chunks, which hold min(2^k, 2^14) draws."""
     space = 1 << machine.iface.garbage_width
     return sorted({1, 2, 3, max(1, space - 1), space, space + 1, 65})
-
-
-def copy_machine(k: int, width: int) -> Machine:
-    """k input lines that double as garbage; line k + i gets a copy of input i.
-
-    The remaining lines are untouched presets at 0, and every line from k up
-    is output, so garbage g fits output y iff y is g on its low k bits and 0
-    above them.
-    """
-    gates = tuple(make_gate("cx", [i], k + i) for i in range(k))
-    iface = InterfaceSpec(
-        width=width,
-        input_lines=tuple(range(k)),
-        preset_lines=tuple((line, 0) for line in range(k, width)),
-        output_lines=tuple(range(k, width)),
-        garbage_lines=tuple(range(k)),
-    )
-    return Machine(Circuit(width, gates), iface)
 
 
 class TestInvertWithProfile:

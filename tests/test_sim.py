@@ -1,6 +1,7 @@
 """Gate semantics, execution, and truth-table extraction."""
 from __future__ import annotations
 
+import json
 import random
 import subprocess
 import sys
@@ -20,12 +21,20 @@ from revcirc import (
     FunctionTable,
     InterfaceSpec,
     InvalidCircuitError,
+    InversionError,
     Machine,
     RestorationViolationError,
+    TrialBudgetExceededError,
     bennett,
+    cli,
+    conformance,
     decrementer,
+    garbage_configs,
+    garbage_profile,
     incrementer,
     initial_state,
+    invert_blind,
+    invert_with_profile,
     is_injective,
     make_gate,
     parse_circuit,
@@ -36,7 +45,7 @@ from revcirc import (
     truth_table,
     zero_garbage_compose,
 )
-from conftest import circuits, late_liar, machines
+from conftest import circuits, copy_machine, late_liar, machines
 
 GOLDEN = Path(__file__).resolve().parent.parent / "golden"
 
@@ -406,6 +415,151 @@ class TestWordTranspose:
         values = sim._region_values(columns, rows)
         assert values == reference_region_values(columns, rows)
         assert sim._region_columns(values, width) == columns
+
+
+def lanes(width: int):
+    """One to nine `width`-bit values, one per lane of a bit-sliced run."""
+    return st.lists(st.integers(0, (1 << width) - 1), min_size=1, max_size=9)
+
+
+class TestRunCore:
+    """`_run`, `_held`, `_lane` and `_lane_value` against the literal single-state simulator."""
+
+    @given(machines(), st.data())
+    def test_forward_matches_run(self, m, data):
+        xs = data.draw(lanes(m.iface.input_width))
+        lines = sim._run(m, sim._region_columns(xs, m.iface.input_width), (1 << len(xs)) - 1)
+        expected = [run(m.circuit, initial_state(m, x)).value_of(range(m.width)) for x in xs]
+        assert list(sim._region_values(lines, len(xs))) == expected
+
+    @given(machines(), st.data())
+    def test_backward_matches_run(self, m, data):
+        iface = m.iface
+        region = iface.output_lines + iface.garbage_lines  # output value, then garbage above it
+        values = data.draw(lanes(len(region)))
+        lines = sim._run(m, sim._region_columns(values, len(region)), (1 << len(values)) - 1, backward=True)
+
+        def start_of(value: int) -> int:
+            final = BitState.zeros(m.width).with_value(region, value)
+            for line, const in iface.restored_lines:
+                final = final.with_value([line], const)
+            return run(m.circuit, final, "backward").value_of(range(m.width))
+
+        assert list(sim._region_values(lines, len(values))) == [start_of(v) for v in values]
+
+    @given(st.integers(1, 70), st.data())
+    def test_held_is_every_pair_per_lane(self, width, data):
+        states = data.draw(lanes(width))
+        pairs = data.draw(st.lists(st.tuples(st.integers(0, width - 1), st.integers(0, 1)), max_size=6))
+        held = sim._held(sim._region_columns(states, width), pairs, (1 << len(states)) - 1)
+        assert held == sum(all(s >> line & 1 == const for line, const in pairs) << j for j, s in enumerate(states))
+
+    @pytest.mark.parametrize("width", [0, 1, 7, 8, 9, 63, 64, 65, 3000])
+    def test_lane_round_trips_as_the_transpose(self, width):
+        rng = random.Random(width)
+        region = rng.sample(range(width), width)
+        for value in sorted({0, (1 << width) - 1, 1 << width >> 1, rng.getrandbits(width), rng.getrandbits(width)}):
+            lane = sim._lane(value, width)
+            assert type(lane) is list and all(bit in (0, 1) and type(bit) is int for bit in lane)
+            assert lane == sim._region_columns([value], width)
+            assert sim._lane_value(lane, range(width)) == value
+            assert sim._lane_value(lane, region) == sim._region_values([lane[line] for line in region], 1)[0]
+
+
+def count_passes(monkeypatch) -> list[int]:
+    """From now on, the lane count of every `sim._apply_gates` call, in order."""
+    passes: list[int] = []
+    apply_gates = sim._apply_gates
+
+    def counted(lines, gates, full):
+        passes.append(full.bit_length())
+        apply_gates(lines, gates, full)
+
+    monkeypatch.setattr(sim, "_apply_gates", counted)
+    return passes
+
+
+def chunk_lanes(upto: int, total: int, size: int) -> list[int]:
+    """The lanes of each pass over `size`-value chunks of `total` values, up to the `upto`-th value."""
+    return [min(size, total - done) for done in range(0, upto, size)]
+
+
+class TestPassCounts:
+    """Every pass is one `sim._run`, so a command's passes have a closed form."""
+
+    @pytest.mark.parametrize(
+        "n,chunk_bits", [(2, sim._CHUNK_BITS), (14, sim._CHUNK_BITS), (16, sim._CHUNK_BITS), (3, 2), (6, 2), (4, 0)]
+    )
+    def test_enumeration_is_one_pass_per_chunk(self, monkeypatch, n, chunk_bits):
+        monkeypatch.setattr(sim, "_CHUNK_BITS", chunk_bits)
+        m = incrementer(n)
+        passes = count_passes(monkeypatch)
+        for enumerate_inputs in (truth_table, garbage_configs, conformance):
+            passes.clear()
+            enumerate_inputs(m)
+            assert passes == [1 << min(n, chunk_bits)] * (1 << max(0, n - chunk_bits))
+
+    @pytest.mark.parametrize("k,chunk_bits", [(15, sim._CHUNK_BITS), (3, sim._CHUNK_BITS), (5, 2), (0, 2)])
+    def test_blind_reads_one_fit_table(self, monkeypatch, k, chunk_bits):
+        # Garbage g fits output y iff y == g; nothing fits 2^k.
+        monkeypatch.setattr(sim, "_CHUNK_BITS", chunk_bits)
+        m = copy_machine(k, 2 * k + 1)
+        passes = count_passes(monkeypatch)
+        fit_table = [1 << min(k, chunk_bits)] * (1 << max(0, k - chunk_bits))
+        invert_blind(m, (1 << k) - 1, seed=0)
+        assert passes == fit_table + [1]
+        passes.clear()
+        with pytest.raises(TrialBudgetExceededError):
+            invert_blind(m, 1 << k, seed=0)
+        assert passes == fit_table
+
+    @pytest.mark.parametrize("k,chunk_bits,hit", [(16, sim._CHUNK_BITS, 40000), (5, 2, 20), (5, sim._CHUNK_BITS, 20)])
+    def test_blind_under_two_to_the_k_runs_its_draws(self, monkeypatch, k, chunk_bits, hit):
+        monkeypatch.setattr(sim, "_CHUNK_BITS", chunk_bits)
+        m = copy_machine(k, 2 * k + 1)
+        budget, size = (1 << k) - 1, 1 << min(k, chunk_bits)
+        rng = random.Random(0)
+        draws = [rng.getrandbits(k) for _ in range(hit)]
+        passes = count_passes(monkeypatch)
+        r = invert_blind(m, draws[-1], seed=0, max_trials=budget)
+        assert r.trials == draws.index(draws[-1]) + 1
+        assert passes == chunk_lanes(r.trials, budget, size) + [1]
+        passes.clear()
+        with pytest.raises(TrialBudgetExceededError):
+            invert_blind(m, 1 << k, seed=0, max_trials=budget)
+        assert passes == chunk_lanes(budget, budget, size)
+
+    @pytest.mark.parametrize("chunk_bits", [sim._CHUNK_BITS, 0, 1])
+    def test_table_method_runs_configurations_up_to_the_hit(self, monkeypatch, chunk_bits):
+        monkeypatch.setattr(sim, "_CHUNK_BITS", chunk_bits)
+        passes = count_passes(monkeypatch)
+        for m, ys in ((incrementer(7), range(1 << 7)), (copy_machine(3, 7), [1 << 3])):
+            profile = garbage_profile(m)
+            configs, size = len(profile.configs), 1 << chunk_bits
+            for y in ys:
+                passes.clear()
+                try:
+                    r = invert_with_profile(m, y, profile)
+                except InversionError:
+                    assert passes == chunk_lanes(configs, configs, size)
+                else:
+                    assert passes == chunk_lanes(r.trials, configs, size) + [1]
+
+    def test_cli_sim_is_one_pass(self, monkeypatch, capsys):
+        path = str(GOLDEN / "zg_incrementer_4.rvc")
+        passes, backward = count_passes(monkeypatch), []
+        apply_gates = cli._apply_gates
+
+        def counted(lines, gates, full):
+            backward.append(full.bit_length())
+            apply_gates(lines, gates, full)
+
+        monkeypatch.setattr(cli, "_apply_gates", counted)
+        assert cli.main(["sim", "-c", path, "--int", "11", "--json"]) == 0
+        final = json.loads(capsys.readouterr().out)["final_state"]
+        assert (passes, backward) == ([1], [])
+        assert cli.main(["sim", "-c", path, "--backward", "-x", final]) == 0
+        assert (passes, backward) == ([1], [1])
 
 
 def test_import_does_not_load_numpy():
