@@ -67,7 +67,14 @@ class GarbageProfile:
         return hashlib.sha256(body.encode()).hexdigest()[:16]
 
     def as_dict(self) -> dict:
-        d = {
+        d = self._summary()
+        if self.per_output is not None:
+            d["per_output"] = {y: self.per_output[y] for y in sorted(self.per_output)}
+        return d
+
+    def _summary(self) -> dict:
+        """`as_dict()` without its per_output map."""
+        return {
             "machine_id": self.machine_id,
             "input_bits": self.input_bits,
             "garbage_bits": self.garbage_bits,
@@ -75,9 +82,6 @@ class GarbageProfile:
             "configs": list(self.configs),
             "configs_digest": self.digest(),
         }
-        if self.per_output is not None:
-            d["per_output"] = {y: self.per_output[y] for y in sorted(self.per_output)}
-        return d
 
 
 @dataclass(frozen=True)
@@ -243,7 +247,7 @@ def classify_growth(points: Sequence[tuple[int, int]]) -> tuple[str, dict]:
     """
     pts = sorted(set((int(n), int(c)) for n, c in points))
     if len(pts) < 3:
-        raise InsufficientPointsError(f"need at least 3 distinct sizes, got {len(pts)}")
+        raise InsufficientPointsError(f"need at least 3 distinct (size, count) points, got {len(pts)}")
     for (n, c), (m, d) in zip(pts, pts[1:]):
         if n == m:
             raise ValueError(f"size {n} has two counts, {c} and {d}")

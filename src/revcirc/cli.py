@@ -8,23 +8,23 @@ integer encoding. Every pass is one `sim._run`, except that `sim --backward`
 runs the gates back from the whole state it is given.
 
 Exit codes: 0 success, 1 usage error, 2 invalid circuit or document,
-3 inversion failure, 4 exhaustive bound exceeded.
+3 inversion failure, 4 exhaustive bound exceeded (or a region too wide for a
+report to write its values in decimal).
 """
 from __future__ import annotations
 
 import json
 import sys
-from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 import click
 
 from . import library
-from .analysis import ConformanceReport, garbage_profile, growth_report, machine_id
+from .analysis import ConformanceReport, GarbageProfile, garbage_profile, growth_report, machine_id
 from .fileformat import parse_circuit, serialize
 from .invert import InversionError, invert_blind, invert_with_profile
-from .ir import InvalidCircuitError, Machine, inverse_machine
+from .ir import InterfaceSpec, InvalidCircuitError, Machine, inverse_machine
 from .sim import (
     EXHAUSTIVE_BOUND,
     ExhaustiveBoundError,
@@ -62,13 +62,43 @@ def _int_to_bits(value: int, width: int) -> str:
     return format(value, f"0{width}b")[::-1] if width else ""
 
 
-def _row_template(rows: list, pad: str) -> str | None:
-    """A `%` template writing a row at indent `pad`, if `rows` are int dicts sharing one key tuple."""
-    keys = set(map(tuple, rows)) if set(map(type, rows)) == {dict} else ()
-    if len(keys) == 1 and set(map(type, chain.from_iterable(map(dict.values, rows)))) == {int}:
-        fields = ",\n".join(f"{pad}  {_key(key).replace('%', '%%')}: %d" for key in keys.pop())
-        return f"{{\n{fields}\n{pad}}}"
-    return None
+# The widest region whose values `str()` writes within Python's default limit of
+# 4,300 digits: 2^14284 - 1 has 4,300 digits, 2^14285 - 1 has 4,301.
+_DECIMAL_BITS = 14284
+
+# A table row as `json.dumps(indent=2)` writes it in the report's "rows" list.
+_ROW = '{\n      "input": %d,\n      "output": %d,\n      "garbage": %d\n    }'
+
+
+class _Json(str):
+    """A report section already written as `json.dumps(indent=2)` text at its indent; `_dumps` copies it."""
+
+
+def _check_decimal(iface: InterfaceSpec, *regions: str) -> None:
+    """Refuse, before any run, a report writing values of a region too wide for `str()` in decimal."""
+    for region in regions:
+        bits = getattr(iface, f"{region}_width")
+        if bits > _DECIMAL_BITS:
+            raise ExhaustiveBoundError(
+                f"{region} region has {bits} bits; refusing to write its values in decimal beyond {_DECIMAL_BITS}"
+            )
+
+
+def _interleave(*columns) -> list:
+    """The columns' items in turn, `a[0], b[0], a[1], b[1], ...`; the first column gives the length."""
+    flat = [0] * (len(columns) * len(columns[0]))
+    for i, column in enumerate(columns):
+        flat[i :: len(columns)] = column
+    return flat
+
+
+def _repeated(item: str, fields, count: int, pad: str, brackets: str) -> _Json:
+    """`count` copies of the `%` template `item`, filled by one `%` over `fields`, as a container at indent `pad`."""
+    if not count:
+        return _Json(brackets)
+    inner = pad + "  "
+    body = f",\n{inner}".join([item] * count) % tuple(fields)
+    return _Json(f"{brackets[0]}\n{inner}{body}\n{pad}{brackets[1]}")
 
 
 def _key(key: str | int) -> str:
@@ -79,36 +109,37 @@ def _key(key: str | int) -> str:
 def _dumps(value, pad: str) -> str:
     """Exactly `json.dumps(value, indent=2)` for `value` at indent `pad`; keys must be str or int.
 
-    With `indent` set `json` encodes in Python. Here a list of ints, a dict of ints and a list
-    of int dicts sharing one key tuple are each written by one `%` over a repeated item
-    template, in C. `type(v) is int` keeps bools out.
+    With `indent` set `json` encodes in Python. Here a list of ints and a dict of ints are each
+    written by one `%` over a repeated item template, in C, and a `_Json` section is copied as it
+    is. `type(v) is int` keeps bools out.
     """
+    if type(value) is _Json:
+        return value
     inner = pad + "  "
-    template = None
     if isinstance(value, dict):
         if set(map(type, value.values())) == {int}:
-            if set(map(type, value)) == {int}:
-                template, fields = '"%d": %d', chain.from_iterable(value.items())
-            else:
-                template, fields = "%s: %d", chain.from_iterable(zip(map(_key, value), value.values()))
-        else:
-            items = [f"{_key(key)}: {_dumps(item, inner)}" for key, item in value.items()]
+            return _repeated("%s: %d", _interleave([*map(_key, value)], value.values()), len(value), pad, "{}")
+        items = [f"{_key(key)}: {_dumps(item, inner)}" for key, item in value.items()]
         brackets = "{}"
     elif isinstance(value, (list, tuple)):
         if set(map(type, value)) == {int}:
-            template, fields = "%d", value
-        elif row := _row_template(value, inner):
-            template, fields = row, chain.from_iterable(map(dict.values, value))
-        else:
-            items = [_dumps(item, inner) for item in value]
+            return _repeated("%d", value, len(value), pad, "[]")
+        items = [_dumps(item, inner) for item in value]
         brackets = "[]"
     else:
         return json.dumps(value)
-    if template is not None:
-        body = f",\n{inner}".join([template] * len(value)) % tuple(fields)
-    else:
-        body = f",\n{inner}".join(items)  # empty only for an empty container
-    return f"{brackets[0]}\n{inner}{body}\n{pad}{brackets[1]}" if body else brackets
+    body = f",\n{inner}".join(items)
+    return f"{brackets[0]}\n{inner}{body}\n{pad}{brackets[1]}" if items else brackets
+
+
+def _profile_section(prof: GarbageProfile, pad: str) -> dict:
+    """`prof.as_dict()` as a report section at indent `pad`, its per_output map written from the sorted pairs."""
+    section = prof._summary()
+    if prof.per_output is not None:
+        outputs = sorted(prof.per_output)
+        pairs = _interleave(outputs, map(prof.per_output.__getitem__, outputs))
+        section["per_output"] = _repeated('"%d": %d', pairs, len(outputs), pad + "  ", "{}")
+    return section
 
 
 def _emit(report: dict, as_json: bool, human: list[str]) -> None:
@@ -137,6 +168,7 @@ def sim(path: str, bits: str | None, value: int | None, backward: bool, as_json:
         if value is not None:
             raise click.UsageError("--backward needs the full final state via -x, not --int")
         lines = _lane(_bits_to_int(bits, "final state", iface.width), iface.width)
+        _check_decimal(iface, "input")
         _apply_gates(lines, reversed(machine.circuit.gates), 1)  # from the whole given state
         start = "".join(map(str, lines))
         input_value = _lane_value(lines, iface.input_lines)
@@ -160,6 +192,7 @@ def sim(path: str, bits: str | None, value: int | None, backward: bool, as_json:
     x = value if value is not None else _bits_to_int(bits, "input region", iface.input_width)
     if not 0 <= x < (1 << iface.input_width):
         raise click.UsageError(f"input value {x} does not fit {iface.input_width} bits")
+    _check_decimal(iface, *(("input", "output", "garbage") if as_json else ("input", "output")))
     lines = _run(machine, _lane(x, iface.input_width), 1)
     final = "".join(map(str, lines))
     out = _lane_value(lines, iface.output_lines)
@@ -190,6 +223,7 @@ def sim(path: str, bits: str | None, value: int | None, backward: bool, as_json:
 def table(path: str, as_json: bool) -> None:
     """Print the machine's exhaustive truth table."""
     machine = _load(path)
+    _check_decimal(machine.iface, *(("output", "garbage") if as_json else ("output",)))
     t = truth_table(machine)
     injective = is_injective(t)
     rows = enumerate(zip(t.outputs, t.garbage))
@@ -200,8 +234,9 @@ def table(path: str, as_json: bool) -> None:
         "injective": injective,
     }
     human = []
-    if as_json:  # each output mode builds only its own 2^n rows
-        report["rows"] = [{"input": x, "output": out, "garbage": g} for x, (out, g) in rows]
+    if as_json:  # each output mode builds only its own 2^n rows; here straight from the columns
+        count = len(t.outputs)
+        report["rows"] = _repeated(_ROW, _interleave(range(count), t.outputs, t.garbage), count, "  ", "[]")
     else:
         k = machine.iface.garbage_width
         human = [f"{'x':>6}  {'f(x)':>6}  garbage"]
@@ -264,6 +299,8 @@ def zg_compose(fwd_path: str, inv_path: str, out: str, as_json: bool) -> None:
 def profile(path: str, as_json: bool) -> None:
     """Enumerate the reachable garbage configurations."""
     machine = _load(path)
+    if as_json:
+        _check_decimal(machine.iface, "output", "garbage")
     try:
         prof = garbage_profile(machine)
     except RestorationViolationError as exc:
@@ -274,15 +311,18 @@ def profile(path: str, as_json: bool) -> None:
         ])
         raise
     conf = ConformanceReport.from_outcome(machine, prof.machine_id, None)
-    report = {"command": "profile", **prof.as_dict(), "conformance": conf.as_dict()}
-    k = prof.garbage_bits
-    human = [
-        f"machine: {prof.machine_id}",
-        f"input bits: {prof.input_bits}, garbage bits: {k}",
-        f"reachable configurations: {prof.config_count}",
-    ]
-    human += [f"  {_int_to_bits(cfg, k) or '(empty)'}" for cfg in prof.configs]
-    human.append(f"conformance: {'pass' if conf.passed else 'FAIL'}")
+    report, human = {}, []
+    if as_json:  # each output mode builds only its own report
+        report = {"command": "profile", **_profile_section(prof, ""), "conformance": conf.as_dict()}
+    else:
+        k = prof.garbage_bits
+        human = [
+            f"machine: {prof.machine_id}",
+            f"input bits: {prof.input_bits}, garbage bits: {k}",
+            f"reachable configurations: {prof.config_count}",
+        ]
+        human += [f"  {_int_to_bits(cfg, k) or '(empty)'}" for cfg in prof.configs]
+        human.append(f"conformance: {'pass' if conf.passed else 'FAIL'}")
     _emit(report, as_json, human)
 
 
@@ -337,6 +377,7 @@ def invert(
 
     if max_trials is not None and max_trials < 1:
         raise click.UsageError("--max-trials must be at least 1")
+    _check_decimal(iface, *(("input", "output", "garbage") if as_json else ("input",)))
     k = iface.garbage_width
     report: dict = {"command": "invert", "output_value": y}
     human: list[str] = []
@@ -351,8 +392,9 @@ def invert(
         result = invert_with_profile(machine, y, prof)
         report.update(result.as_dict())
         tried = prof.configs[: result.trials]
-        report["attempts"] = [{"config": cfg, "accepted": i == len(tried)} for i, cfg in enumerate(tried, 1)]
-        report["profile"] = prof.as_dict()
+        if as_json:  # the human report names the trials, not the profile
+            report["attempts"] = [{"config": cfg, "accepted": i == len(tried)} for i, cfg in enumerate(tried, 1)]
+            report["profile"] = _profile_section(prof, "  ")
         human.append(
             f"method: table (profile built from {1 << prof.input_bits} forward runs, "
             f"{prof.config_count} configurations)"

@@ -171,12 +171,17 @@ def remap(circuit: Circuit, line_map: Mapping[int, int], new_width: int) -> Circ
     if image == list(range(circuit.width)):  # only a widening: the gates stay as they are
         return _trusted_circuit(new_width, circuit.gates)
     # An injective map into [0, new_width) keeps every gate's lines distinct and in range.
+    # A Gate object at several positions is moved once and shared, found by `id` since
+    # hashing a Gate runs the dataclass `__hash__` in Python.
     new_line = line_map.__getitem__
-    gates = tuple(
-        _trusted_gate(g.kind, tuple(map(new_line, g.controls)), new_line(g.target))
-        for g in circuit.gates
-    )
-    return _trusted_circuit(new_width, gates)
+    moved: dict[int, Gate] = {}
+    gates = []
+    for g in circuit.gates:
+        new = moved.get(id(g))
+        if new is None:
+            new = moved[id(g)] = _trusted_gate(g.kind, tuple(map(new_line, g.controls)), new_line(g.target))
+        gates.append(new)
+    return _trusted_circuit(new_width, tuple(gates))
 
 
 def concat(a: Circuit, b: Circuit) -> Circuit:

@@ -131,7 +131,7 @@ def reference_classify_growth(points):
     """`classify_growth` as written with `Fraction` for its affine test, kept as its oracle."""
     pts = sorted(set((int(n), int(c)) for n, c in points))
     if len(pts) < 3:
-        raise InsufficientPointsError(f"need at least 3 distinct sizes, got {len(pts)}")
+        raise InsufficientPointsError(f"need at least 3 distinct (size, count) points, got {len(pts)}")
     ns = [n for n, _ in pts]
     cs = [c for _, c in pts]
     details: dict = {"basis": "empirical at desk scale", "points_used": len(pts)}

@@ -434,6 +434,12 @@ class TestClassifyGrowthMatchesReference:
         with pytest.raises(InsufficientPointsError, match="got 2"):
             classify_growth([(2, 1), (2, 3), (2, 1)])
 
+    @pytest.mark.parametrize("points,got", [([(2, 1), (2, 3)], 2), ([(2, 1), (2, 3), (2, 1)], 2), ([(5, 1), (5, 1)], 1)])
+    def test_too_few_points_message_counts_pairs(self, points, got):
+        with pytest.raises(InsufficientPointsError) as exc:
+            classify_growth(points)
+        assert str(exc.value) == f"need at least 3 distinct (size, count) points, got {got}"
+
     def test_growth_report_goes_through_the_checked_classifier(self):
         calls = len(CLASSIFY_GROWTH_CALLS)
         report = growth_report(incrementer, range(2, 7))

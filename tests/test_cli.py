@@ -17,7 +17,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import revcirc
-from revcirc import BitState, cli, incrementer, initial_state, parse_circuit, ripple_adder, run, serialize, truth_table
+from revcirc import (
+    BitState,
+    ConformanceReport,
+    GarbageProfile,
+    RestorationViolationError,
+    cli,
+    garbage_profile,
+    incrementer,
+    initial_state,
+    invert_with_profile,
+    parse_circuit,
+    ripple_adder,
+    run,
+    serialize,
+    truth_table,
+)
+from revcirc.analysis import machine_id
 from revcirc.cli import _dumps, _int_to_bits, main
 
 from conftest import machines, small_machine_roster
@@ -458,16 +474,67 @@ def emitted_reports(argvs: list[list[str]]) -> list[tuple[int, str, list[dict]]]
     return results
 
 
+def reference_report(machine, argv: list[str]) -> tuple[int, dict | None] | None:
+    """(exit code, report) of `table`, `profile` or table-method `invert`, built as dicts; None for other commands.
+
+    The reports as the CLI built them before it wrote rows and per_output maps straight from the
+    columns: one dict per table row, and the profile's sorted `as_dict()`. The writer's oracle.
+    """
+    command = argv[0]
+    if command not in ("table", "profile", "invert") or "--blind" in argv:
+        return None
+    try:
+        t = truth_table(machine)
+    except RestorationViolationError as exc:
+        if command != "profile":
+            return 2, None
+        conf = ConformanceReport.from_outcome(machine, machine_id(machine), exc)
+        return 2, {"command": "profile", "conformance": conf.as_dict()}
+    if command == "table":
+        rows = [{"input": x, "output": out, "garbage": g} for x, (out, g) in enumerate(zip(t.outputs, t.garbage))]
+        return 0, {
+            "command": "table", "input_bits": t.input_width, "output_bits": t.output_width,
+            "injective": len(set(t.outputs)) == len(t.outputs), "rows": rows,
+        }
+    prof = garbage_profile(machine)
+    if command == "profile":
+        conf = ConformanceReport.from_outcome(machine, prof.machine_id, None)
+        return 0, {"command": "profile", **prof.as_dict(), "conformance": conf.as_dict()}
+    y = int(argv[argv.index("--int") + 1])
+    iface = machine.iface
+    result = invert_with_profile(machine, y, prof)
+    tried = prof.configs[: result.trials]
+    return 0, {
+        "command": "invert", "output_value": y, **result.as_dict(),
+        "attempts": [{"config": cfg, "accepted": i == len(tried)} for i, cfg in enumerate(tried, 1)],
+        "profile": prof.as_dict(),
+        "matched_config_bits": old_int_to_bits(result.matched_config, iface.garbage_width),
+        "input_bits": old_int_to_bits(result.input_value, iface.input_width),
+    }
+
+
+def check_emitted_bytes(machine, argv: list[str], code: int, out: str, reports: list[dict]) -> None:
+    """stdout is `json.dumps(report, indent=2)` plus a newline, for the reference report or, where the
+    CLI still builds its report as plain dicts, for the dict it gave `_emit`."""
+    expected = reference_report(machine, argv)
+    if expected is None:
+        assert [json.dumps(r, indent=2) + "\n" for r in reports] == [out] * len(reports), argv
+        return
+    want_code, report = expected
+    assert code == want_code, argv
+    assert out == ("" if report is None else json.dumps(report, indent=2) + "\n"), argv
+
+
 def check_machine_reports(machine) -> int:
-    """Run every --json command on `machine`; check writer and byte form; count reports."""
+    """Run every --json command on `machine`; check its bytes against the reference; count reports."""
     count = 0
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "m.rvc"
         path.write_text(serialize(machine))
-        for code, out, reports in emitted_reports(json_argvs(machine, path, Path(tmp) / "o.rvc")):
-            for report in reports:
-                assert _dumps(report, "") == json.dumps(report, indent=2)
-                count += 1
+        argvs = json_argvs(machine, path, Path(tmp) / "o.rvc")
+        for argv, (code, out, reports) in zip(argvs, emitted_reports(argvs)):
+            check_emitted_bytes(machine, argv, code, out, reports)
+            count += len(reports)
             if out:
                 assert_json_form(out)
     return count
@@ -511,4 +578,113 @@ class TestJsonForm:
         for (code, out, reports), argv in zip(emitted_reports([a + ["--json"] for a in argvs]), argvs):
             assert code == 0, argv
             assert_json_form(out)
-            assert [_dumps(r, "") + "\n" for r in reports] == [out]
+            assert [json.dumps(r, indent=2) + "\n" for r in reports] == [out]
+
+
+# Machines of 0 and 1 input bits: a lone row, and two rows the output swaps.
+_ZERO_INPUT = "width 2\npreset 0=1 1=0\noutput 0\ngarbage 1\ngate cx 0 1\n"
+_ONE_INPUT = "width 2\ninput 0\npreset 1=1\noutput 1\ngarbage 0\ngate cx 0 1\n"
+
+
+class TestColumnWriters:
+    """`table`, `profile` and table-method `invert` --json write rows and per_output maps from the columns."""
+
+    def test_row_template_is_gone(self):
+        assert not hasattr(cli, "_row_template")
+
+    @pytest.mark.parametrize(
+        "text",
+        [_ZERO_INPUT, _ONE_INPUT, serialize(incrementer(14)), serialize(incrementer(16))],
+        ids=["n0", "n1", "incr14", "incr16-four-chunks"],
+    )
+    def test_bytes_match_the_dict_built_reports(self, tmp_path, text):
+        machine = parse_circuit(text)
+        path = tmp_path / "m.rvc"
+        path.write_text(text)
+        t = truth_table(machine)
+        ys = sorted({t.outputs[0], t.outputs[-1]})
+        argvs = [["table", "-c", str(path)], ["profile", "-c", str(path)]]
+        argvs += [["invert", "-c", str(path), "--int", str(y)] for y in ys]
+        expected = [reference_report(machine, argv) for argv in argvs]
+        # Neither the sorted per_output dict nor any report's as_dict() is built on the way.
+        unbuilt = mock.Mock(side_effect=AssertionError("as_dict() was built"))
+        with mock.patch.object(GarbageProfile, "as_dict", unbuilt):
+            got = [run_captured(argv + ["--json"]) for argv in argvs]
+        for argv, (code, report), out in zip(argvs, expected, got):
+            assert out == (code, json.dumps(report, indent=2) + "\n"), argv
+        assert unbuilt.call_count == 0
+
+    def test_human_profile_and_invert_build_no_map_and_no_digest(self, capsys, incr3):
+        unbuilt = mock.Mock(side_effect=AssertionError("as_dict() or digest() was called"))
+        with mock.patch.object(GarbageProfile, "as_dict", unbuilt), mock.patch.object(GarbageProfile, "digest", unbuilt):
+            assert main(["profile", "-c", str(incr3)]) == 0
+            assert main(["invert", "-c", str(incr3), "--int", "0"]) == 0
+        assert unbuilt.call_count == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "input: 7 (bits 111), matched garbage 1"
+
+
+def preset_garbage_document(garbage: int) -> str:
+    """One input line, which is the output, and `garbage` lines preset to 1 and declared garbage."""
+    lines = range(1, garbage + 1)
+    return (
+        f"width {garbage + 1}\ninput 0\npreset {' '.join(f'{l}=1' for l in lines)}\n"
+        f"output 0\ngarbage {' '.join(map(str, lines))}\n"
+    )
+
+
+class TestDecimalWidthRefusal:
+    """A report never writes a value of a region too wide for `str()`; it refuses with exit 4 before running."""
+
+    def test_bound_is_the_widest_region_str_writes(self):
+        assert sys.get_int_max_str_digits() == 4300  # Python's default
+        assert len(str((1 << cli._DECIMAL_BITS) - 1)) == 4300
+        with pytest.raises(ValueError):
+            str((1 << cli._DECIMAL_BITS + 1) - 1)
+
+    # The 188 KB document of 15,000 garbage lines: each command's exit code, and what a refusal says.
+    REFUSED = "error: garbage region has 15000 bits; refusing to write its values in decimal beyond 14284\n"
+    CASES = [
+        (["profile"], 0, ""),
+        (["profile", "--json"], 4, REFUSED),
+        (["table"], 0, ""),
+        (["table", "--json"], 4, REFUSED),
+        (["sim", "--int", "1"], 0, ""),
+        (["sim", "--int", "1", "--json"], 4, REFUSED),
+        (["sim", "-x", "1" * 15001, "--backward"], 0, ""),
+        (["sim", "-x", "1" * 15001, "--backward", "--json"], 0, ""),  # writes only the 1-bit input region
+        (["invert", "--int", "1"], 0, ""),
+        (["invert", "--int", "1", "--json"], 4, REFUSED),
+        (["invert", "--int", "1", "--blind"], 4, "error: garbage region has 15000 bits; refusing blind search beyond 20\n"),
+        (["invert", "--int", "1", "--blind", "--json"], 4, REFUSED),
+    ]
+
+    def test_no_command_crashes_on_15000_preset_garbage_lines(self, tmp_path):
+        path = tmp_path / "wide.rvc"
+        path.write_text(preset_garbage_document(15000))
+        assert 180_000 < path.stat().st_size < 200_000
+        for args, code, err_text in self.CASES:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                assert main([args[0], "-c", str(path), *args[1:]]) == code, args
+            assert err.getvalue() == err_text, args
+            assert bool(out.getvalue()) == (code == 0), args
+        assert run_captured(["invert", "-c", str(path), "--int", "1"])[1].endswith(f"matched garbage {'1' * 15000}\n")
+
+    def test_refused_before_any_gate_runs(self, tmp_path):
+        path = tmp_path / "wide.rvc"
+        path.write_text(preset_garbage_document(15000))
+        no_gates = mock.Mock(side_effect=AssertionError("a gate ran"))
+        with mock.patch.object(revcirc.sim, "_apply_gates", no_gates), mock.patch.object(cli, "_apply_gates", no_gates):
+            for args, code, err_text in self.CASES:
+                if err_text == self.REFUSED:
+                    assert run_captured([args[0], "-c", str(path), *args[1:]]) == (4, ""), args
+        assert no_gates.call_count == 0
+
+    def test_refusal_starts_one_bit_past_the_bound(self, tmp_path):
+        for garbage, code in ((cli._DECIMAL_BITS, 0), (cli._DECIMAL_BITS + 1, 4)):
+            path = tmp_path / f"g{garbage}.rvc"
+            path.write_text(preset_garbage_document(garbage))
+            got, out = run_captured(["sim", "-c", str(path), "--int", "1", "--json"])
+            assert got == code, garbage
+            if code == 0:
+                assert json.loads(out)["garbage_value"] == (1 << garbage) - 1

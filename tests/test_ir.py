@@ -148,6 +148,18 @@ class TestRemap:
             assert len(widened.gates) == len(c.gates)
             assert all(new is old for new, old in zip(widened.gates, c.gates))
 
+    def test_non_identity_map_shares_repeated_gates(self):
+        # decrementer(n) runs its wrapping NOTs twice, and the parser shares identical lines
+        for m in (decrementer(40), parse_circuit((GOLDEN / "decrementer_3.rvc").read_text())):
+            c = m.circuit
+            reversed_lines = {i: c.width - 1 - i for i in range(c.width)}
+            moved = remap(c, reversed_lines, c.width + 2)
+            assert moved == reference_remap(c, reversed_lines, c.width + 2)
+            assert len({*map(id, moved.gates)}) == len({*map(id, c.gates)}) < len(c.gates)
+            first = {}
+            for old, new in zip(c.gates, moved.gates):
+                assert first.setdefault(id(old), new) is new  # one moved Gate per input Gate
+
     def test_bennett_widening_shares_the_gates(self):
         m = decrementer(6)
         gates = bennett(m).circuit.gates
