@@ -266,10 +266,8 @@ def classify_growth(points: Sequence[tuple[int, int]]) -> tuple[str, dict]:
         return "linear", details
 
     # Exponential signature: log-count grows by the same amount per unit size.
-    rates = [
-        (math.log(cs[i + 1]) - math.log(cs[i])) / (ns[i + 1] - ns[i])
-        for i in range(len(pts) - 1)
-    ]
+    ys = _logs(pts, 1, "count")
+    rates = [(ys[i + 1] - ys[i]) / (ns[i + 1] - ns[i]) for i in range(len(pts) - 1)]
     mean_rate = sum(rates) / len(rates)
     spread = max(abs(r - mean_rate) for r in rates)
     details["log_growth_per_size"] = round(mean_rate, 6)
@@ -278,8 +276,7 @@ def classify_growth(points: Sequence[tuple[int, int]]) -> tuple[str, dict]:
         return "superpolynomial-suspect", details
 
     # Power-law fit: least squares on log count vs log size.
-    xs = [math.log(n) for n in ns]
-    ys = [math.log(c) for c in cs]
+    xs = _logs(pts, 0, "size")
     mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
     var = sum((x - mx) ** 2 for x in xs)
     loglog_slope = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / var
@@ -291,6 +288,14 @@ def classify_growth(points: Sequence[tuple[int, int]]) -> tuple[str, dict]:
     if 0 < degree <= 4 and max(residuals) <= 0.25:
         return f"polynomial-fit({degree})", details
     return "superpolynomial-suspect", details
+
+
+def _logs(pts: Sequence[tuple[int, int]], index: int, what: str) -> list[float]:
+    """The log of every point's size (index 0) or count (1); refuses the first point where it is below 1."""
+    for point in pts:
+        if point[index] < 1:
+            raise ValueError(f"point {point} has {what} {point[index]}, below 1: its log is undefined")
+    return [math.log(point[index]) for point in pts]
 
 
 def growth_report(

@@ -89,18 +89,10 @@ class BitState:
         bits = list(self.bits)
         for i, line in enumerate(lines):
             bits[line] = (value >> i) & 1
-        return _trusted_state(self.width, tuple(bits))
+        return BitState(self.width, bits)
 
     def __str__(self) -> str:
         return "".join(str(b) for b in self.bits)
-
-
-def _trusted_state(width: int, bits: tuple[int, ...]) -> BitState:
-    """A BitState of `width` bits, each 0 or 1, that the caller computed itself."""
-    state = object.__new__(BitState)
-    object.__setattr__(state, "width", width)
-    object.__setattr__(state, "bits", bits)
-    return state
 
 
 @dataclass(frozen=True)
@@ -153,7 +145,7 @@ def run(circuit: Circuit, state: BitState, direction: str = "forward") -> BitSta
     for gate in gates:
         if all(bits[c] for c in gate.controls):
             bits[gate.target] ^= 1
-    return _trusted_state(state.width, tuple(bits))
+    return BitState(state.width, bits)
 
 
 def initial_state(machine: Machine, x: int) -> BitState:

@@ -9,7 +9,9 @@ Two constructions, both classical and exact:
 
 * `zero_garbage_compose` — given machines for a bijection and its inverse,
   build a machine computing the bijection with no garbage at all: every
-  non-output line returns to its preset constant.
+  non-output line returns to its preset constant. Up to 20 input bits it
+  checks that every input restores those lines, which holds exactly when
+  the two machines are mutually inverse.
 
 Both rely on the same copy gadget: a bank of controlled-NOTs writes a copy
 onto zeroed lines, and (being self-inverse) erases one of two equal copies.
@@ -40,7 +42,8 @@ from .ir import (
     remap,
 )
 from .ir import _trusted_circuit, _trusted_gate
-from .sim import EXHAUSTIVE_BOUND, truth_table
+from .sim import EXHAUSTIVE_BOUND, RestorationViolationError
+from .sim import _final_lines, _lane, _lane_value, _run
 
 
 class NotInversePairError(InvalidCircuitError):
@@ -99,21 +102,6 @@ def bennett(machine: Machine) -> Machine:
     return Machine(circuit, new_iface)
 
 
-def _check_inverse_pair(mf: Machine, mfinv: Machine, max_input_bits: int) -> None:
-    """Desk-scale check that the two tables are mutually inverse bijections.
-
-    Both machines map n bits to n bits (`zero_garbage_compose` checks the
-    widths first), so g(f(x)) = x for every x already makes f injective on
-    2^n values, hence a bijection, and g its inverse; f(g(y)) = y follows
-    and is not checked again.
-    """
-    f = truth_table(mf, max_input_bits).outputs
-    g = truth_table(mfinv, max_input_bits).outputs
-    for x, y in enumerate(f):
-        if g[y] != x:
-            raise NotInversePairError(f"second machine maps {y} to {g[y]}, expected {x}")
-
-
 def zero_garbage_compose(
     mf: Machine, mfinv: Machine, max_input_bits: int = EXHAUSTIVE_BOUND
 ) -> Machine:
@@ -121,9 +109,7 @@ def zero_garbage_compose(
 
     `mfinv` must compute the inverse bijection, with its output landing on
     its own input lines (in the same order); that is what lets the final
-    backward run consume the surviving input copy in place. The two machines
-    are verified to be mutually inverse by exhaustive table comparison when
-    the input region is within `max_input_bits`, and trusted above it.
+    backward run consume the surviving input copy in place.
 
     Line layout of the result (width 2n + s):
 
@@ -136,7 +122,12 @@ def zero_garbage_compose(
     run `mfinv` forward reading the fresh lines, erase the recovered input
     copy on the fresh lines against the original, run `mfinv` backward
     re-aimed at the original input lines (turning the input into the
-    output); flip the scratch constants back.
+    output); flip the scratch constants back. On input x the copy lines end
+    at g(f(x)) XOR x; when that is 0 the backward `mfinv` undoes a true run
+    and restores the scratch lines too. So, within `max_input_bits`, `mf`,
+    `mfinv` and then the result are checked to restore their restored lines
+    on every input, which for the result holds exactly when the two machines
+    are mutually inverse. Above it the pair is trusted.
     """
     f_if, g_if = mf.iface, mfinv.iface
     n = f_if.input_width
@@ -149,8 +140,6 @@ def zero_garbage_compose(
         raise InvalidCircuitError(
             "inverse machine must produce its output on its own input lines, in order"
         )
-    if n <= max_input_bits:
-        _check_inverse_pair(mf, mfinv, max_input_bits)
 
     f_scratch = tuple(c for _, c in f_if.preset_lines)
     g_scratch = tuple(c for _, c in g_if.preset_lines)
@@ -198,4 +187,17 @@ def zero_garbage_compose(
         garbage_lines=(),
         restored_lines=tuple(zip(r2, f_consts)) + tuple((l, 0) for l in r3),
     )
-    return Machine(circuit, iface)
+    composed = Machine(circuit, iface)
+    if n <= max_input_bits:
+        for m in (mf, mfinv):
+            for _ in _final_lines(m, max_input_bits):
+                pass
+        try:
+            for _ in _final_lines(composed, max_input_bits):
+                pass
+        except RestorationViolationError as exc:
+            x = exc.input_value
+            y = _lane_value(_run(mf, _lane(x, n), 1), f_if.output_lines)
+            back = _lane_value(_run(mfinv, _lane(y, n), 1), g_if.output_lines)
+            raise NotInversePairError(f"second machine maps {y} to {back}, expected {x}") from None
+    return composed

@@ -38,7 +38,7 @@ from revcirc import (
     zero_garbage_compose,
 )
 from revcirc.analysis import ClauseResult
-from conftest import CLASSIFY_GROWTH_CALLS, classified_or_refused, reference_classify_growth
+from conftest import CLASSIFY_GROWTH_CALLS, classified_or_refused, reference_classify_growth, reference_growth_outcome
 from conftest import late_liar, machines
 
 GOLDEN = Path(__file__).resolve().parent.parent / "golden"
@@ -375,9 +375,12 @@ class TestGrowth:
 
 @st.composite
 def growth_points(draw):
-    """(size, count) lists over distinct sizes: arbitrary, or exactly affine with a rational slope."""
+    """(size, count) lists over distinct sizes: arbitrary, or exactly affine with a rational slope.
+
+    Arbitrary lists reach sizes and counts below 1, which have no log.
+    """
     if draw(st.booleans()):
-        counts = draw(st.dictionaries(st.integers(1, 64), st.integers(0, 10**6), max_size=8))
+        counts = draw(st.dictionaries(st.integers(-2, 64), st.integers(-2, 10**6), max_size=8))
         return list(counts.items())
     step, rise, start = draw(st.integers(1, 7)), draw(st.integers(-50, 50)), draw(st.integers(0, 10**4))
     ks = draw(st.lists(st.integers(1, 40), min_size=3, max_size=8, unique=True))
@@ -389,9 +392,7 @@ class TestClassifyGrowthMatchesReference:
 
     @given(growth_points())
     def test_point_lists(self, points):
-        assert classified_or_refused(classify_growth, points) == classified_or_refused(
-            reference_classify_growth, points
-        )
+        assert classified_or_refused(classify_growth, points) == reference_growth_outcome(points)
 
     @pytest.mark.parametrize(
         "points",
@@ -407,9 +408,7 @@ class TestClassifyGrowthMatchesReference:
         ],
     )
     def test_every_direct_call(self, points):
-        assert classified_or_refused(classify_growth, points) == classified_or_refused(
-            reference_classify_growth, points
-        )
+        assert classified_or_refused(classify_growth, points) == reference_growth_outcome(points)
 
     @pytest.mark.parametrize(
         "points,size,counts",
@@ -439,6 +438,38 @@ class TestClassifyGrowthMatchesReference:
         with pytest.raises(InsufficientPointsError) as exc:
             classify_growth(points)
         assert str(exc.value) == f"need at least 3 distinct (size, count) points, got {got}"
+
+    @pytest.mark.parametrize(
+        "points,message",
+        [
+            ([(1, 0), (2, 1), (3, 5)], "point (1, 0) has count 0, below 1: its log is undefined"),
+            ([(3, 5), (2, -1), (1, 0)], "point (1, 0) has count 0, below 1: its log is undefined"),
+            ([(0, -1), (1, 3), (2, 4)], "point (0, -1) has count -1, below 1: its log is undefined"),
+            ([(0, 1), (1, 3), (2, 4)], "point (0, 1) has size 0, below 1: its log is undefined"),
+            ([(-1, 1), (0, 3), (2, 4)], "point (-1, 1) has size -1, below 1: its log is undefined"),
+        ],
+    )
+    def test_no_log_below_one(self, points, message):
+        with pytest.raises(ValueError) as exc:
+            classify_growth(points)
+        assert (type(exc.value), str(exc.value)) == (ValueError, message)
+        with pytest.raises(ValueError, match="math domain error"):
+            reference_classify_growth(points)
+
+    @pytest.mark.parametrize(
+        "points,label",
+        [
+            ([(1, 0), (2, 0), (3, 0)], "constant"),
+            ([(0, 0), (5, 0), (9, 0)], "constant"),
+            ([(0, 1), (1, 2), (2, 3)], "linear"),
+            ([(-3, 0), (0, -6), (1, -8)], "linear"),
+            ([(0, 1), (1, 2), (2, 4), (3, 8)], "superpolynomial-suspect"),
+        ],
+    )
+    def test_results_kept_below_one(self, points, label):
+        # Sizes or counts below 1 that never reach a log read as they always did.
+        assert classify_growth(points) == reference_classify_growth(points)
+        assert classify_growth(points)[0] == label
 
     def test_growth_report_goes_through_the_checked_classifier(self):
         calls = len(CLASSIFY_GROWTH_CALLS)

@@ -23,6 +23,7 @@ from revcirc import (
     InvalidCircuitError,
     InversionError,
     Machine,
+    NotInversePairError,
     RestorationViolationError,
     TrialBudgetExceededError,
     bennett,
@@ -42,6 +43,7 @@ from revcirc import (
     run,
     sim,
     step,
+    transforms,
     truth_table,
     zero_garbage_compose,
 )
@@ -544,6 +546,34 @@ class TestPassCounts:
                     assert passes == chunk_lanes(configs, configs, size)
                 else:
                     assert passes == chunk_lanes(r.trials, configs, size) + [1]
+
+    @pytest.mark.parametrize("n,chunk_bits", [(3, sim._CHUNK_BITS), (16, sim._CHUNK_BITS), (4, 2), (5, 0)])
+    def test_zg_compose_checks_three_machines(self, monkeypatch, n, chunk_bits):
+        # f and g are each checked, then the composed machine; a false pair stops at
+        # its failing chunk and reads y and g(y) in two one-lane passes.
+        monkeypatch.setattr(sim, "_CHUNK_BITS", chunk_bits)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("zero_garbage_compose built a truth table")
+
+        monkeypatch.setattr(sim, "truth_table", refuse)
+        assert not hasattr(transforms, "truth_table")
+        passes = count_passes(monkeypatch)
+        chunks = [1 << min(n, chunk_bits)] * (1 << max(0, n - chunk_bits))
+        zero_garbage_compose(incrementer(n), decrementer(n))
+        assert passes == chunks * 3
+        # g also flips bit 0 when bit n-1 is set, so g(f(x)) = x first fails at 2^(n-1).
+        g = decrementer(n)
+        g = Machine(Circuit(g.width, g.circuit.gates + (make_gate("cx", [n - 1], 0),)), g.iface)
+        passes.clear()
+        with pytest.raises(NotInversePairError, match=f"expected {1 << (n - 1)}$"):
+            zero_garbage_compose(incrementer(n), g)
+        upto = (1 << (n - 1)) // chunks[0] + 1  # the chunks up to the failing one
+        assert passes == chunks * 2 + chunks[:upto] + [1, 1]
+        passes.clear()
+        for mg in (decrementer(n), g, incrementer(n)):  # trusted above the bound
+            zero_garbage_compose(incrementer(n), mg, max_input_bits=n - 1)
+        assert passes == []
 
     def test_cli_sim_is_one_pass(self, monkeypatch, capsys):
         path = str(GOLDEN / "zg_incrementer_4.rvc")

@@ -2,10 +2,13 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import example, given
+from unittest import mock
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from revcirc import (
+    EXHAUSTIVE_BOUND,
     BitState,
     Circuit,
     Gate,
@@ -14,6 +17,7 @@ from revcirc import (
     InvalidCircuitError,
     Machine,
     NotInversePairError,
+    RestorationViolationError,
     bennett,
     copy_fanout,
     decrementer,
@@ -23,9 +27,13 @@ from revcirc import (
     make_gate,
     ripple_adder,
     run,
+    serialize,
+    sim,
     truth_table,
     zero_garbage_compose,
 )
+
+from conftest import reference_check_inverse_pair
 
 
 class TestCopyFanout:
@@ -132,40 +140,15 @@ class TestZeroGarbageCompose:
         assert len(zm.circuit) <= 2 * len(mf.circuit) + 2 * len(mg.circuit) + 2 * n
 
     def test_reconciles_differing_preset_constants(self):
-        # decrementer variant whose carry line starts at 1 and is cleared first
         n = 3
-        base = decrementer(n)
-        line = base.iface.garbage_lines[0]
-        circuit = Circuit(base.width, (make_gate("x", [], line),) + base.circuit.gates)
-        iface = InterfaceSpec(
-            width=base.width,
-            input_lines=base.iface.input_lines,
-            preset_lines=((line, 1),),
-            output_lines=base.iface.output_lines,
-            garbage_lines=base.iface.garbage_lines,
-        )
-        odd_decr = Machine(circuit, iface)
-        zm = zero_garbage_compose(incrementer(n), odd_decr)
+        zm = zero_garbage_compose(incrementer(n), odd_decrementer(n))
         t = truth_table(zm)
         assert all(t.output_of(x) == (x + 1) % 8 for x in range(8))
         assert garbage_profile(zm).config_count == 1
 
     def test_pads_unequal_scratch_widths(self):
-        # decrementer variant with an idle extra preset line
         n = 3
-        base = decrementer(n)
-        w = base.width + 1
-        circuit = Circuit(w, base.circuit.gates)
-        iface = InterfaceSpec(
-            width=w,
-            input_lines=base.iface.input_lines,
-            preset_lines=base.iface.preset_lines + ((w - 1, 0),),
-            output_lines=base.iface.output_lines,
-            garbage_lines=base.iface.garbage_lines,
-            restored_lines=((w - 1, 0),),
-        )
-        padded_decr = Machine(circuit, iface)
-        zm = zero_garbage_compose(incrementer(n), padded_decr)
+        zm = zero_garbage_compose(incrementer(n), padded_decrementer(n))
         assert zm.width == 2 * n + 2  # scratch sized for the larger machine
         t = truth_table(zm)
         assert all(t.output_of(x) == (x + 1) % 8 for x in range(8))
@@ -174,6 +157,135 @@ class TestZeroGarbageCompose:
 
 def zero_garbage_compose_pair(n: int):
     return zero_garbage_compose(incrementer(n), decrementer(n))
+
+
+def odd_decrementer(n: int) -> Machine:
+    """A decrementer (n >= 3) whose first carry line starts at 1 and is cleared first."""
+    base = decrementer(n)
+    line = base.iface.garbage_lines[0]
+    circuit = Circuit(base.width, (make_gate("x", [], line),) + base.circuit.gates)
+    iface = InterfaceSpec(
+        width=base.width,
+        input_lines=base.iface.input_lines,
+        preset_lines=((line, 1),) + base.iface.preset_lines[1:],
+        output_lines=base.iface.output_lines,
+        garbage_lines=base.iface.garbage_lines,
+    )
+    return Machine(circuit, iface)
+
+
+def padded_decrementer(n: int) -> Machine:
+    """A decrementer with an idle extra preset line, declared restored."""
+    base = decrementer(n)
+    w = base.width + 1
+    iface = InterfaceSpec(
+        width=w,
+        input_lines=base.iface.input_lines,
+        preset_lines=base.iface.preset_lines + ((w - 1, 0),),
+        output_lines=base.iface.output_lines,
+        garbage_lines=base.iface.garbage_lines,
+        restored_lines=((w - 1, 0),),
+    )
+    return Machine(Circuit(w, base.circuit.gates), iface)
+
+
+def with_extra_gate(m: Machine, at: int, gate: Gate) -> Machine:
+    """`m` with `gate` inserted before its `at`-th gate."""
+    gates = m.circuit.gates
+    return Machine(Circuit(m.width, gates[:at] + (gate,) + gates[at:]), m.iface)
+
+
+def lying_about(m: Machine, line: int) -> Machine:
+    """`m` with garbage `line` falsely declared restored to its preset constant."""
+    iface = m.iface
+    return Machine(
+        m.circuit,
+        InterfaceSpec(
+            width=iface.width,
+            input_lines=iface.input_lines,
+            preset_lines=iface.preset_lines,
+            output_lines=iface.output_lines,
+            garbage_lines=tuple(l for l in iface.garbage_lines if l != line),
+            restored_lines=iface.restored_lines + ((line, iface.preset_constants[line]),),
+        ),
+    )
+
+
+def composed_or_refused(mf: Machine, mg: Machine, reference: bool = False):
+    """The bytes `zero_garbage_compose` writes for the pair, or the class and message of what it raises.
+
+    With `reference`, the pair is checked by `reference_check_inverse_pair`
+    and the machine built trusted, as the check came before the build.
+    """
+    try:
+        if reference:
+            trusted = zero_garbage_compose(mf, mg, max_input_bits=-1)
+            reference_check_inverse_pair(mf, mg, EXHAUSTIVE_BOUND)
+            return serialize(trusted)
+        return serialize(zero_garbage_compose(mf, mg))
+    except InvalidCircuitError as exc:  # the error itself is the outcome compared
+        return type(exc), str(exc)
+
+
+_PAIRS = {
+    "incr/decr": lambda n: (incrementer(n), decrementer(n)),
+    "decr/incr": lambda n: (decrementer(n), incrementer(n)),
+    "incr/odd decr": lambda n: (incrementer(n), odd_decrementer(n)),
+    "incr/padded decr": lambda n: (incrementer(n), padded_decrementer(n)),
+    "incr/incr": lambda n: (incrementer(n), incrementer(n)),
+    "decr/decr": lambda n: (decrementer(n), decrementer(n)),
+}
+
+
+@st.composite
+def compose_pairs(draw):
+    """True and false pairs: a library pair, g perhaps given one more gate on a data line, f or g perhaps lying."""
+    n = draw(st.integers(3, 7))
+    mf, mg = _PAIRS[draw(st.sampled_from(sorted(_PAIRS)))](n)
+    if draw(st.booleans()):
+        data = draw(st.permutations(mg.iface.input_lines))
+        gate = draw(st.sampled_from([make_gate("x", [], data[0]), make_gate("cx", [data[1]], data[0])]))
+        mg = with_extra_gate(mg, draw(st.integers(0, len(mg.circuit))), gate)
+    liars = draw(st.sampled_from(["", "", "", "f", "g", "fg"]))
+    if "f" in liars:
+        mf = lying_about(mf, draw(st.sampled_from(mf.iface.garbage_lines)))
+    if "g" in liars:
+        mg = lying_about(mg, draw(st.sampled_from(mg.iface.garbage_lines)))
+    return mf, mg
+
+
+class TestComposedCheckMatchesReference:
+    """Checking the composed machine's restored lines gives the two-table check's bytes, or its error."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(compose_pairs(), st.sampled_from([sim._CHUNK_BITS, 0, 1, 2]))
+    def test_pairs(self, pair, chunk_bits):
+        with mock.patch.object(sim, "_CHUNK_BITS", chunk_bits):
+            assert composed_or_refused(*pair) == composed_or_refused(*pair, reference=True)
+
+    @pytest.mark.parametrize("pair,n", [(p, n) for p in sorted(_PAIRS) for n in range(2, 9) if n > 2 or "odd" not in p])
+    @pytest.mark.parametrize("chunk_bits", [sim._CHUNK_BITS, 0, 1, 2])
+    def test_library_pairs(self, pair, n, chunk_bits):
+        mf, mg = _PAIRS[pair](n)
+        with mock.patch.object(sim, "_CHUNK_BITS", chunk_bits):
+            got = composed_or_refused(mf, mg)
+        assert got == composed_or_refused(mf, mg, reference=True)
+        assert (type(got) is str) == (pair not in ("incr/incr", "decr/decr"))
+
+    @pytest.mark.parametrize("chunk_bits", [sim._CHUNK_BITS, 0, 1, 2])
+    def test_error_order(self, chunk_bits):
+        # f's carry 5 first fails at x = 7, g's carry 4 at y = 3, and g(f(x)) = x + 2
+        # everywhere: f's lie is reported, then g's, then the mismatch at x = 0.
+        f, g = lying_about(incrementer(4), 5), lying_about(incrementer(4), 4)
+        outcomes = [
+            (RestorationViolationError, "line 5 declared restored to 0 but holds 1 for input 7"),
+            (RestorationViolationError, "line 4 declared restored to 0 but holds 1 for input 3"),
+            (NotInversePairError, "second machine maps 1 to 2, expected 0"),
+        ]
+        pairs = [(f, g), (incrementer(4), g), (incrementer(4), incrementer(4))]
+        with mock.patch.object(sim, "_CHUNK_BITS", chunk_bits):
+            assert [composed_or_refused(*pair) for pair in pairs] == outcomes
+        assert [composed_or_refused(*pair, reference=True) for pair in pairs] == outcomes
 
 
 def reference_copy_fanout(src, dst, width=None) -> Circuit:
