@@ -18,14 +18,20 @@ lowercase mnemonics, one gate per line, trailing newline. Parsing a
 serialized machine reproduces it structurally, and serialize-parse-serialize
 is byte-identical.
 
-The parser reads every line one way: it cuts the line at `#`, splits it on
-whitespace and checks the words once (keyword, kind, arity, ASCII digits,
-range, distinct lines). A gate that passes is built through `ir`'s private
-trusted constructors with no second check, and equal gate lines share one
-Gate. A line's indices, and a `preset`/`restored` line's LINE=BIT words,
-are checked as one batch; only a batch that fails is checked word by word,
-and only a line that fails is tokenized again, to give the error the
-column of the offending word.
+The parser reads each directive line once: it cuts the line at `#`, splits
+it on whitespace and checks the words (keyword, arity, ASCII digits). Its
+indices, or its LINE=BIT words, are checked as one batch, and only a batch
+that fails is checked word by word. The gate block, from the first gate
+line on, is read once per distinct line: the line is split, its words
+unpacked by their count, its keyword and kind matched exactly, its indices
+read with `int()` and checked distinct, and its Gate built through `ir`'s
+private trusted constructors with no second check, so equal gate lines
+share one Gate. Two checks then run once per document: the largest index
+against `width`, and one character check over the block's words (ASCII,
+and no `+`, `-` or `_`), which with every `int()` succeeding means every
+index is ASCII digits. A gate block that fails any of these is read again
+line by line, in order, by a checker that builds nothing and only raises
+the first error. Every error is placed at the column of its offending word.
 """
 from __future__ import annotations
 
@@ -44,6 +50,8 @@ _GATE_LINE = tuple(
     for kind in sorted(GateKind, key=lambda kind: kind.n_controls)
 )
 _BITS = {"=0", "=1"}  # how a LINE=BIT word may end
+_X, _CX, _CCX = GateKind.X, GateKind.CX, GateKind.CCX
+_SLICE = 4096  # gate lines `serialize` holds as separate strings at once
 
 
 class CircuitSyntaxError(InvalidCircuitError):
@@ -59,25 +67,19 @@ def parse_circuit(text: str) -> Machine:
     """Parse a .rvc document into a validated Machine."""
     width: int | None = None
     regions: dict[str, tuple] = {}  # directive -> its values, once seen
-    gates: list[Gate] = []
-    known: dict[str, Gate] = {}  # gate line text -> its Gate, for this document only
+    lines = text.splitlines()
+    start = len(lines)  # index of the first gate line, which starts the gate block
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        gate = known.get(raw)
-        if gate is not None:
-            gates.append(gate)
-            continue
+    for lineno, raw in enumerate(lines, start=1):
         words = raw.partition("#")[0].split()
         if not words:
             continue
         keyword = words[0]
         if keyword == "gate":
-            gates.append(_parse_gate(words, width, raw, lineno))
-            known[raw] = gates[-1]
+            start = lineno - 1
+            break
         elif keyword not in _DIRECTIVES:
             raise _error(f"unknown directive {keyword!r}", raw, lineno, 0)
-        elif gates:
-            raise _error(f"directive {keyword!r} after the first gate statement", raw, lineno, 0)
         elif keyword in regions:
             raise _error(f"duplicate directive {keyword!r}", raw, lineno, 0)
         elif keyword == "width":
@@ -93,16 +95,106 @@ def parse_circuit(text: str) -> Machine:
         else:
             regions[keyword] = _indices(words, 1, raw, lineno)
 
-    if width is None:
-        raise CircuitSyntaxError("missing required directive 'width'", 1, 1)
+    block = lines[start:]
+    # Without `width` the document fails: it is missing, or follows a gate.
+    gates = None if width is None else _gate_block(block, width)
+    if gates is None:
+        _raise_first_error(block, start + 1, width)
 
     try:
-        lines = {f"{name}_lines": regions.get(name, ()) for name in _DIRECTIVES[1:]}
-        # A gate before `width` fails the document (`width` may not follow a
-        # gate), so every gate here was checked against `width`.
-        return Machine(_trusted_circuit(width, tuple(gates)), InterfaceSpec(width, **lines))
+        roles = {f"{name}_lines": regions.get(name, ()) for name in _DIRECTIVES[1:]}
+        return Machine(_trusted_circuit(width, gates), InterfaceSpec(width, **roles))
     except InvalidCircuitError as exc:
         raise InvalidCircuitError(f"invalid circuit document: {exc}") from exc
+
+
+def _gate_block(block: list[str], width: int) -> tuple[Gate, ...] | None:
+    """The gates of the lines from the first gate line on, or None if any line fails.
+
+    Each distinct line is split and built once; the index words' characters
+    and their range are checked once for the whole block.
+    """
+    distinct = list(dict.fromkeys(block))
+    cut = distinct
+    chars = "\n".join(distinct)
+    if "#" in chars:
+        cut = [raw.partition("#")[0] if "#" in raw else raw for raw in distinct]
+        chars = "\n".join(cut)
+    if not chars.isascii():  # words may be split at non-ASCII whitespace: check the words alone
+        chars = "".join(chars.split())
+    # Besides ASCII digits, int() reads only a sign, `_` and non-ASCII digits, so
+    # where these pass and every int() succeeds, each index word is ASCII digits.
+    if not chars.isascii() or "-" in chars or "+" in chars or "_" in chars:
+        return None
+    known: dict[str, Gate | None] = {}  # line -> its Gate, or None for a blank line
+    top = 0  # the largest line index
+    try:
+        for raw, words in zip(distinct, map(str.split, cut)):
+            count = len(words)
+            if count == 5:
+                keyword, kind, a, b, t = words
+                if keyword != "gate" or kind != "ccx":
+                    return None
+                a, b, t = int(a), int(b), int(t)
+                if a == b or a == t or b == t:
+                    return None
+                known[raw] = _trusted_gate(_CCX, (a, b), t)
+                if a > top:
+                    top = a
+                if b > top:
+                    top = b
+            elif count == 4:
+                keyword, kind, a, t = words
+                if keyword != "gate" or kind != "cx":
+                    return None
+                a, t = int(a), int(t)
+                if a == t:
+                    return None
+                known[raw] = _trusted_gate(_CX, (a,), t)
+                if a > top:
+                    top = a
+            elif count == 3:
+                keyword, kind, t = words
+                if keyword != "gate" or kind != "x":
+                    return None
+                t = int(t)
+                known[raw] = _trusted_gate(_X, (), t)
+            elif count == 0:
+                known[raw] = None
+                continue
+            else:
+                return None
+            if t > top:
+                top = t
+    except ValueError:  # a word int() does not read, or too many digits for it
+        return None
+    if top >= width:
+        return None
+    return tuple(filter(None, map(known.__getitem__, block)))
+
+
+def _raise_first_error(block: list[str], first: int, width: int | None) -> None:
+    """Raise the first error in a gate block `_gate_block` refused, with its place.
+
+    `first` is the block's first line number. Lines are checked one at a
+    time, in order, and no gate is built. With no `width`, gates are not
+    range-checked and the document's error is the missing `width`, unless a
+    line of the block fails first.
+    """
+    for lineno, raw in enumerate(block, start=first):
+        words = raw.partition("#")[0].split()
+        if not words:
+            continue
+        keyword = words[0]
+        if keyword == "gate":
+            _check_gate(words, width, raw, lineno)
+        elif keyword not in _DIRECTIVES:
+            raise _error(f"unknown directive {keyword!r}", raw, lineno, 0)
+        else:
+            raise _error(f"directive {keyword!r} after the first gate statement", raw, lineno, 0)
+    if width is None:
+        raise CircuitSyntaxError("missing required directive 'width'", 1, 1)
+    raise AssertionError("a gate block was refused, but each of its lines passes")
 
 
 def _error(message: str, raw: str, lineno: int, word: int) -> CircuitSyntaxError:
@@ -155,7 +247,7 @@ def _assignment(word: str, raw: str, lineno: int, i: int) -> tuple[int, int]:
     return _index(line, raw, lineno, i, expected), int(word[-1])
 
 
-def _parse_gate(words: list[str], width: int | None, raw: str, lineno: int) -> Gate:
+def _check_gate(words: list[str], width: int | None, raw: str, lineno: int) -> None:
     if len(words) < 2:
         raise _error("gate statement needs a kind and line indices", raw, lineno, 0)
     try:
@@ -172,7 +264,6 @@ def _parse_gate(words: list[str], width: int | None, raw: str, lineno: int) -> G
         raise _error(f"line {lines[i]} out of range for width {width}", raw, lineno, i + 2)
     if len(set(lines)) != arity:
         raise _error(f"duplicate line in gate: {lines}", raw, lineno, 1)
-    return _trusted_gate(kind, lines[:-1], lines[-1])
 
 
 def serialize(machine: Machine) -> str:
@@ -184,7 +275,9 @@ def serialize(machine: Machine) -> str:
         values = getattr(iface, f"{name}_lines")
         if values:
             out.append(name + "".join(word % value for value in values))
-    out.extend(
-        _GATE_LINE[len(g.controls)] % (g.controls + (g.target,)) for g in machine.circuit.gates
-    )
-    return "\n".join(out) + "\n"
+    gates = machine.circuit.gates
+    for i in range(0, len(gates), _SLICE):  # one piece per slice of gate lines
+        lines = [_GATE_LINE[len(g.controls)] % (g.controls + (g.target,)) for g in gates[i : i + _SLICE]]
+        out.append("\n".join(lines))
+    out.append("")  # the trailing newline, without copying the document to add it
+    return "\n".join(out)

@@ -127,7 +127,8 @@ def zero_garbage_compose(
     and restores the scratch lines too. So, within `max_input_bits`, `mf`,
     `mfinv` and then the result are checked to restore their restored lines
     on every input, which for the result holds exactly when the two machines
-    are mutually inverse. Above it the pair is trusted.
+    are mutually inverse; a machine that declares none is not run. Above it
+    the pair is trusted.
     """
     f_if, g_if = mf.iface, mfinv.iface
     n = f_if.input_width
@@ -190,8 +191,9 @@ def zero_garbage_compose(
     composed = Machine(circuit, iface)
     if n <= max_input_bits:
         for m in (mf, mfinv):
-            for _ in _final_lines(m, max_input_bits):
-                pass
+            if m.iface.restored_lines:  # with none, the pass cannot fail
+                for _ in _final_lines(m, max_input_bits):
+                    pass
         try:
             for _ in _final_lines(composed, max_input_bits):
                 pass

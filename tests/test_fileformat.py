@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import re
 import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given
@@ -25,10 +27,12 @@ from revcirc import (
     truth_table,
     zero_garbage_compose,
     decrementer,
+    fileformat,
 )
 from revcirc.fileformat import _GATE_WORDS
-from conftest import machines
+from conftest import machines, small_machine_roster
 
+GOLDEN = Path(__file__).resolve().parent.parent / "golden"
 MINIMAL = "width 1\ninput 0\noutput 0\ngate x 0\n"
 
 _REF_DIRECTIVES = ("width", "input", "preset", "output", "garbage", "restored")
@@ -348,6 +352,7 @@ def _edited_documents(draw):
 
 
 _HEAD = "width 3\ninput 0 1 2\noutput 0 1 2\n"
+_DOC = serialize(incrementer(4))  # width 6, ending "gate cx 0 1\ngate x 0\n"
 HOSTILE = [
     _HEAD + "gate x " + _HUGE + "\n",
     _HEAD + "gate cx 0 " + "9" * 5000 + "\n",
@@ -393,6 +398,47 @@ HOSTILE = [
     "width 5\ninput 0 1\npreset 2=0 3=1 4=0\noutput 0 1\nrestored 2=0 3=1 4=2\n",
     "width 5\ninput 0 1\npreset 2=0 3=1 4=0\noutput 0 1\nrestored 2=0 " + _HUGE + "=1 4=0\n",
 ]
+# Good directives, then a gate block whose first error only the per-line checker places.
+GATE_BLOCK_HOSTILE = [
+    # The only error is in the last gate line.
+    _DOC + "gate x 6\n",
+    _DOC + "gate ccx 0 1 1",
+    _DOC + "gate cx 0 \u00b2\n",
+    _DOC + "gate swap 0 1\n",
+    _DOC + "gate x " + _HUGE + "\n",
+    _DOC + "gate\n",
+    _DOC.replace("\n", "\r\n") + "gate x 0 1\r\n",
+    _DOC + "gate ccx 6 0 1\n",  # only the first control out of range
+    _DOC + "gate cx 6 0\n",
+    _DOC + "GATE cx 0 1\n",
+    _DOC + "g x 0\n",
+    # The first error is a directive after good gates.
+    _DOC + "output 0\n",
+    _DOC + "width 6\ngate x 9\n",
+    _DOC + "qubits 3\n",
+    _DOC + "output ccx 0 1 2\n",
+    _DOC + "\n# done\n   restored 4=0\n",
+    # A bad line repeating an earlier good line's words, with a bad suffix.
+    _DOC + "gate cx 0 1 2\n",
+    _DOC + "gate x 0 x\n",
+    _DOC + "gate cx 5 3\u00b2\n",
+    _DOC + "gate x 0\ngate x 0#\ngate x 0 -\n",
+    # Comments and non-ASCII text after `#` in the gate block, before the error.
+    _DOC + "gate x 0 # caf\u00e9 \u00b2 \u0663\ngate x 0 \u0663 # \u00b2\n",
+    _HEAD + "gate cx 0 1 # \u00bd\ngate ccx 0 1 # 2\n",
+    # CRLF line endings and blank lines between gates.
+    "width 3\r\ninput 0 1 2\r\noutput 0 1 2\r\n\r\ngate x 0\r\n\r\n\r\ngate cx 0 3\r\n",
+    "width 3\r\ninput 0 1 2\r\noutput 0 1 2\r\ngate x 0\r\n \r\n\tgate cx 1 1\r\n\r\n",
+    # A `-`, `+` or `_` in an index, which int() reads.
+    _HEAD + "gate x -0\n",
+    _HEAD + "gate cx +1 2\n",
+    _HEAD + "gate ccx 0 1 0_2\n",
+    _HEAD + "gate x 1\ngate cx 0 1_\n",
+    _HEAD + "gate x 2\ngate x -1\n",
+    # Non-ASCII whitespace between the words of a bad line.
+    _HEAD + "gate\u3000x \u00b2\n",
+]
+HOSTILE += GATE_BLOCK_HOSTILE
 # Well-formed, though not as serialize writes them.
 UNUSUAL = [
     _HEAD + "gate cx 0 1 # 2\n",
@@ -402,6 +448,11 @@ UNUSUAL = [
     "width 1\ninput\npreset 0=1\noutput 0\ngate x 0\n",
     "\twidth\t3 # lines\ninput 0\t01  2\npreset#\noutput 2 1 0\n",
     "width 3\ninput 0 1\npreset 002=1\noutput 0 1\nrestored 2=1 # kept\n",
+    _DOC + "gate x 0 # caf\u00e9 \u00b2 \u0663\ngate cx 0 1#\u00b2\n",
+    "width 3\r\ninput 0 1 2\r\noutput 0 1 2\r\n\r\ngate x 0\r\n\r\n\r\ngate cx 0 2\r\n\r\n",
+    _HEAD + "gate x 0\n# between\n   \n\t\ngate x 1\n",
+    _HEAD + "gate ccx 000 01 2\ngate ccx 0 1 2\ngate x 0002\n",
+    _HEAD + "gate\u00a0x\u30002\ngate\u2003cx 0 1\n",  # non-ASCII whitespace
 ]
 
 
@@ -439,6 +490,35 @@ class TestParseMatchesReference:
         assert first.circuit.gates[0] is not second.circuit.gates[0]
 
 
+def _refuse(*args):
+    raise AssertionError("the per-line checker ran on a valid document")
+
+
+class TestValidDocumentsTakeTheFastPath:
+    """The per-line checker only raises: every valid document's gates are built in `_gate_block`."""
+
+    def test_roster_golden_and_unusual_documents(self):
+        texts = [serialize(m) for _, m in small_machine_roster()]
+        texts += [path.read_text() for path in sorted(GOLDEN.glob("*.rvc"))]
+        texts += UNUSUAL + [serialize(zero_garbage_compose(incrementer(300), decrementer(300)))]
+        with mock.patch.object(fileformat, "_raise_first_error", _refuse):
+            for text in texts:
+                assert parse_circuit(text) == reference_parse_circuit(text)
+
+    @given(_edited_documents())
+    def test_edited_documents_the_reference_accepts(self, text):
+        expected = parse_outcome(reference_parse_circuit, text)
+        if isinstance(expected, Machine):
+            with mock.patch.object(fileformat, "_raise_first_error", _refuse):
+                assert parse_circuit(text) == expected
+
+    @pytest.mark.parametrize("text", GATE_BLOCK_HOSTILE)
+    def test_refused_documents_reach_the_checker(self, text):
+        with mock.patch.object(fileformat, "_raise_first_error", _refuse):
+            with pytest.raises(AssertionError, match="per-line checker"):
+                parse_circuit(text)
+
+
 class TestSerialize:
     def test_every_kind_has_its_arity_and_canonical_line(self):
         for kind in GateKind:
@@ -474,6 +554,20 @@ class TestSerialize:
         for m in (incrementer(3), ripple_adder(2), bennett(incrementer(3))):
             text = serialize(m)
             assert serialize(parse_circuit(text)) == text
+
+    def test_large_document_is_written_in_slices(self):
+        # One str per gate line, held at once, peaked at 4.71 MiB for these 41,992
+        # gates. Slices of lines joined into pieces, then the pieces joined, hold
+        # the 0.82 MiB document about twice: about 1.7 MiB.
+        m = zero_garbage_compose(incrementer(3000), decrementer(3000))
+        tracemalloc.start()
+        try:
+            text = serialize(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text.count("\n") == 41_992 + 5
+        assert peak < 5 << 19
 
     @given(machines())
     def test_round_trip_structural_identity(self, m):

@@ -549,8 +549,10 @@ class TestPassCounts:
 
     @pytest.mark.parametrize("n,chunk_bits", [(3, sim._CHUNK_BITS), (16, sim._CHUNK_BITS), (4, 2), (5, 0)])
     def test_zg_compose_checks_three_machines(self, monkeypatch, n, chunk_bits):
-        # f and g are each checked, then the composed machine; a false pair stops at
-        # its failing chunk and reads y and g(y) in two one-lane passes.
+        # f and g are each checked if they declare restored lines, then the composed
+        # machine; a false pair stops at its failing chunk and reads y and g(y) in
+        # two one-lane passes. Library machines declare none, so only the composed
+        # machine is run.
         monkeypatch.setattr(sim, "_CHUNK_BITS", chunk_bits)
 
         def refuse(*args, **kwargs):
@@ -561,7 +563,7 @@ class TestPassCounts:
         passes = count_passes(monkeypatch)
         chunks = [1 << min(n, chunk_bits)] * (1 << max(0, n - chunk_bits))
         zero_garbage_compose(incrementer(n), decrementer(n))
-        assert passes == chunks * 3
+        assert passes == chunks * 1
         # g also flips bit 0 when bit n-1 is set, so g(f(x)) = x first fails at 2^(n-1).
         g = decrementer(n)
         g = Machine(Circuit(g.width, g.circuit.gates + (make_gate("cx", [n - 1], 0),)), g.iface)
@@ -569,7 +571,27 @@ class TestPassCounts:
         with pytest.raises(NotInversePairError, match=f"expected {1 << (n - 1)}$"):
             zero_garbage_compose(incrementer(n), g)
         upto = (1 << (n - 1)) // chunks[0] + 1  # the chunks up to the failing one
-        assert passes == chunks * 2 + chunks[:upto] + [1, 1]
+        assert passes == chunks[:upto] + [1, 1]
+        # f with its top carry declared restored is still run, up to its chunk of
+        # 2^(n-1) - 1, the carry's first 1, and its violation is reported first.
+        f = incrementer(n)
+        iface, top = f.iface, f.iface.garbage_lines[-1]
+        liar = Machine(
+            f.circuit,
+            InterfaceSpec(
+                width=iface.width,
+                input_lines=iface.input_lines,
+                preset_lines=iface.preset_lines,
+                output_lines=iface.output_lines,
+                garbage_lines=iface.garbage_lines[:-1],
+                restored_lines=((top, 0),),
+            ),
+        )
+        passes.clear()
+        x = (1 << (n - 1)) - 1
+        with pytest.raises(RestorationViolationError, match=f"^line {top} declared restored to 0 but holds 1 for input {x}$"):
+            zero_garbage_compose(liar, g)
+        assert passes == chunks[: x // chunks[0] + 1]
         passes.clear()
         for mg in (decrementer(n), g, incrementer(n)):  # trusted above the bound
             zero_garbage_compose(incrementer(n), mg, max_input_bits=n - 1)
