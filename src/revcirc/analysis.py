@@ -21,6 +21,7 @@ from typing import Callable, Sequence
 from .ir import Machine
 from .sim import (
     EXHAUSTIVE_BOUND,
+    ExhaustiveBoundError,
     RestorationViolationError,
     check_enumeration_bound,
     truth_table,
@@ -31,6 +32,10 @@ from .sim import _final_lines, _region_values
 # the chunk instead: the split costs two ANDs per mask and garbage line, so a
 # chunk reaching thousands of configurations is faster to transpose.
 _MAX_SPLIT_CONFIGS = 512
+
+# The most bits of a value `str()` writes within Python's default limit of
+# 4,300 digits: 2^14284 - 1 has 4,300 digits, 2^14285 - 1 has 4,301.
+_DECIMAL_BITS = 14284
 
 
 class InsufficientPointsError(ValueError):
@@ -60,9 +65,18 @@ class GarbageProfile:
         return len(self.configs)
 
     def digest(self) -> str:
-        """Stable hash of the sorted config set, for reproducible reports."""
+        """Stable hash of the sorted config set, for reproducible reports.
+
+        Raises ExhaustiveBoundError if a configuration has more than 14,284 bits,
+        which `str()` may not write in decimal.
+        """
         import hashlib  # here, not at module level: most commands take no digest
 
+        bits = max(self.configs, default=0).bit_length()
+        if bits > _DECIMAL_BITS:
+            raise ExhaustiveBoundError(
+                f"a garbage configuration has {bits} bits; refusing to write it in decimal beyond {_DECIMAL_BITS}"
+            )
         body = f"{self.garbage_bits}:" + ",".join(str(c) for c in self.configs)
         return hashlib.sha256(body.encode()).hexdigest()[:16]
 

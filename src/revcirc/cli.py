@@ -22,6 +22,7 @@ import click
 
 from . import library
 from .analysis import ConformanceReport, GarbageProfile, garbage_profile, growth_report, machine_id
+from .analysis import _DECIMAL_BITS
 from .fileformat import parse_circuit, serialize
 from .invert import InversionError, invert_blind, invert_with_profile
 from .ir import InterfaceSpec, InvalidCircuitError, Machine, inverse_machine
@@ -61,10 +62,6 @@ def _bits_to_int(bits: str, what: str, expected_len: int) -> int:
 def _int_to_bits(value: int, width: int) -> str:
     return format(value, f"0{width}b")[::-1] if width else ""
 
-
-# The widest region whose values `str()` writes within Python's default limit of
-# 4,300 digits: 2^14284 - 1 has 4,300 digits, 2^14285 - 1 has 4,301.
-_DECIMAL_BITS = 14284
 
 # A table row as `json.dumps(indent=2)` writes it in the report's "rows" list.
 _ROW = '{\n      "input": %d,\n      "output": %d,\n      "garbage": %d\n    }'
@@ -109,16 +106,14 @@ def _key(key: str | int) -> str:
 def _dumps(value, pad: str) -> str:
     """Exactly `json.dumps(value, indent=2)` for `value` at indent `pad`; keys must be str or int.
 
-    With `indent` set `json` encodes in Python. Here a list of ints and a dict of ints are each
-    written by one `%` over a repeated item template, in C, and a `_Json` section is copied as it
-    is. `type(v) is int` keeps bools out.
+    With `indent` set `json` encodes in Python. Here a list of ints is written by one `%` over a
+    repeated item template, in C, and a `_Json` section is copied as it is. `type(v) is int`
+    keeps bools out.
     """
     if type(value) is _Json:
         return value
     inner = pad + "  "
     if isinstance(value, dict):
-        if set(map(type, value.values())) == {int}:
-            return _repeated("%s: %d", _interleave([*map(_key, value)], value.values()), len(value), pad, "{}")
         items = [f"{_key(key)}: {_dumps(item, inner)}" for key, item in value.items()]
         brackets = "{}"
     elif isinstance(value, (list, tuple)):

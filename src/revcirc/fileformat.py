@@ -18,20 +18,21 @@ lowercase mnemonics, one gate per line, trailing newline. Parsing a
 serialized machine reproduces it structurally, and serialize-parse-serialize
 is byte-identical.
 
-The parser reads each directive line once: it cuts the line at `#`, splits
-it on whitespace and checks the words (keyword, arity, ASCII digits). Its
-indices, or its LINE=BIT words, are checked as one batch, and only a batch
-that fails is checked word by word. The gate block, from the first gate
-line on, is read once per distinct line: the line is split, its words
-unpacked by their count, its keyword and kind matched exactly, its indices
-read with `int()` and checked distinct, and its Gate built through `ir`'s
-private trusted constructors with no second check, so equal gate lines
-share one Gate. Two checks then run once per document: the largest index
-against `width`, and one character check over the block's words (ASCII,
-and no `+`, `-` or `_`), which with every `int()` succeeding means every
-index is ASCII digits. A gate block that fails any of these is read again
-line by line, in order, by a checker that builds nothing and only raises
-the first error. Every error is placed at the column of its offending word.
+The parser reads a document in one pass that raises nothing itself. Each
+directive line is cut at `#` and split, its keyword must be known and not
+yet seen, and its index words (for LINE=BIT words, the LINE parts, with
+every `=BIT` ending `=0` or `=1`) are checked as one batch to be ASCII
+digits, then read with `int()`. The gate block, from the first gate line on,
+is read once per distinct line: the line is split, its words unpacked by
+their count, its keyword and kind matched exactly, its indices read with
+`int()` and checked distinct, and its Gate built through `ir`'s private
+trusted constructors with no second check, so equal gate lines share one
+Gate. Two checks then run once per document: the largest index against
+`width`, and one character check over the block's words (ASCII, and no `+`,
+`-` or `_`), which with every `int()` succeeding means every index is ASCII
+digits. A document that fails anything is read again from its first line by
+one walker, which tokenizes each line once, builds nothing and raises the
+first error in line order, at the column of its offending word.
 """
 from __future__ import annotations
 
@@ -65,47 +66,55 @@ class CircuitSyntaxError(InvalidCircuitError):
 
 def parse_circuit(text: str) -> Machine:
     """Parse a .rvc document into a validated Machine."""
-    width: int | None = None
-    regions: dict[str, tuple] = {}  # directive -> its values, once seen
     lines = text.splitlines()
-    start = len(lines)  # index of the first gate line, which starts the gate block
-
-    for lineno, raw in enumerate(lines, start=1):
-        words = raw.partition("#")[0].split()
-        if not words:
-            continue
-        keyword = words[0]
-        if keyword == "gate":
-            start = lineno - 1
-            break
-        elif keyword not in _DIRECTIVES:
-            raise _error(f"unknown directive {keyword!r}", raw, lineno, 0)
-        elif keyword in regions:
-            raise _error(f"duplicate directive {keyword!r}", raw, lineno, 0)
-        elif keyword == "width":
-            if len(words) != 2:
-                raise _error("width takes exactly one argument", raw, lineno, 0)
-            expected = "width must be a positive integer"
-            width = _index(words[1], raw, lineno, 1, expected)
-            if width < 1:
-                raise _error(f"{expected}, got {words[1]!r}", raw, lineno, 1)
-            regions[keyword] = (width,)
-        elif keyword in _ASSIGNED:
-            regions[keyword] = _assignments(words, raw, lineno)
-        else:
-            regions[keyword] = _indices(words, 1, raw, lineno)
-
-    block = lines[start:]
-    # Without `width` the document fails: it is missing, or follows a gate.
-    gates = None if width is None else _gate_block(block, width)
+    header = _header(lines)
+    gates = None
+    if header is not None:  # the gate block is read once the header's words are freed
+        width, regions, start = header
+        gates = _gate_block(lines[start:], width)
     if gates is None:
-        _raise_first_error(block, start + 1, width)
+        _raise_first_error(lines)
 
     try:
         roles = {f"{name}_lines": regions.get(name, ()) for name in _DIRECTIVES[1:]}
         return Machine(_trusted_circuit(width, gates), InterfaceSpec(width, **roles))
     except InvalidCircuitError as exc:
         raise InvalidCircuitError(f"invalid circuit document: {exc}") from exc
+
+
+def _header(lines: list[str]) -> tuple[int, dict[str, tuple], int] | None:
+    """The width, the directives' values and the first gate line's index, or None if a line fails."""
+    regions: dict[str, tuple] = {}  # directive -> its values, once seen
+    for start, raw in enumerate(lines):
+        words = raw.partition("#")[0].split()
+        if not words:
+            continue
+        keyword = words[0]
+        if keyword == "gate":
+            break
+        if keyword not in _DIRECTIVES or keyword in regions:
+            return None
+        texts = words[1:]
+        if keyword in _ASSIGNED:
+            if not {word[-2:] for word in texts} <= _BITS:
+                return None
+            bits = [int(word[-1]) for word in texts]
+            texts = [word[:-2] for word in texts]
+        # Only ASCII digits: str.isdigit also accepts digits such as '²' and '٣'.
+        digits = "".join(texts)
+        if digits and not (digits.isascii() and digits.isdigit()):
+            return None
+        try:
+            values = tuple(map(int, texts))
+        except ValueError:  # an empty LINE, or more digits than int() converts
+            return None
+        regions[keyword] = tuple(zip(values, bits)) if keyword in _ASSIGNED else values
+    else:
+        start = len(lines)
+    widths = regions.get("width", ())  # none if it is missing or follows a gate
+    if len(widths) != 1 or widths[0] < 1:
+        return None
+    return widths[0], regions, start
 
 
 def _gate_block(block: list[str], width: int) -> tuple[Gate, ...] | None:
@@ -173,97 +182,81 @@ def _gate_block(block: list[str], width: int) -> tuple[Gate, ...] | None:
     return tuple(filter(None, map(known.__getitem__, block)))
 
 
-def _raise_first_error(block: list[str], first: int, width: int | None) -> None:
-    """Raise the first error in a gate block `_gate_block` refused, with its place.
+def _raise_first_error(lines: list[str]) -> None:
+    """Raise the first error in line order of a document `parse_circuit` refused, at its line and column.
 
-    `first` is the block's first line number. Lines are checked one at a
-    time, in order, and no gate is built. With no `width`, gates are not
-    range-checked and the document's error is the missing `width`, unless a
-    line of the block fails first.
+    Gates before `width` are not range-checked; a missing `width` is named only if no line fails.
     """
-    for lineno, raw in enumerate(block, start=first):
-        words = raw.partition("#")[0].split()
-        if not words:
+    width: int | None = None
+    seen: set[str] = set()  # the keywords read so far: directives, and "gate" from the first gate line on
+    for lineno, raw in enumerate(lines, start=1):
+        tokens = [(m.group(), m.start() + 1) for m in _TOKEN.finditer(raw.partition("#")[0])]
+        if not tokens:
             continue
-        keyword = words[0]
+        (keyword, column), *args = tokens
         if keyword == "gate":
-            _check_gate(words, width, raw, lineno)
+            _check_gate(tokens, width, lineno)
         elif keyword not in _DIRECTIVES:
-            raise _error(f"unknown directive {keyword!r}", raw, lineno, 0)
+            raise CircuitSyntaxError(f"unknown directive {keyword!r}", lineno, column)
+        elif "gate" in seen:
+            raise CircuitSyntaxError(f"directive {keyword!r} after the first gate statement", lineno, column)
+        elif keyword in seen:
+            raise CircuitSyntaxError(f"duplicate directive {keyword!r}", lineno, column)
+        elif keyword == "width":
+            if len(args) != 1:
+                raise CircuitSyntaxError("width takes exactly one argument", lineno, column)
+            word, column = args[0]
+            expected = "width must be a positive integer"
+            width = _index(word, lineno, column, expected)
+            if width < 1:
+                raise CircuitSyntaxError(f"{expected}, got {word!r}", lineno, column)
         else:
-            raise _error(f"directive {keyword!r} after the first gate statement", raw, lineno, 0)
+            check = _assignment if keyword in _ASSIGNED else _index
+            for word, column in args:
+                check(word, lineno, column)
+        seen.add(keyword)
     if width is None:
         raise CircuitSyntaxError("missing required directive 'width'", 1, 1)
-    raise AssertionError("a gate block was refused, but each of its lines passes")
+    raise AssertionError("a document was refused, but each of its lines passes")
 
 
-def _error(message: str, raw: str, lineno: int, word: int) -> CircuitSyntaxError:
-    """The error placed at the column of word number `word` (from 0) of line `raw`."""
-    # A word before a `#` starts where it does in the cut line.
-    starts = [m.start() for m in _TOKEN.finditer(raw)]
-    return CircuitSyntaxError(message, lineno, starts[word] + 1)
-
-
-def _index(word: str, raw: str, lineno: int, i: int, expected: str = "expected a line index") -> int:
+def _index(word: str, lineno: int, column: int, expected: str = "expected a line index") -> int:
     # ASCII only: str.isdigit also accepts digits such as '²' and '٣'.
     if word.isascii() and word.isdigit():
         try:
             return int(word)
         except ValueError:  # more digits than int() converts
             pass
-    raise _error(f"{expected}, got {word!r}", raw, lineno, i)
+    raise CircuitSyntaxError(f"{expected}, got {word!r}", lineno, column)
 
 
-def _indices(words: list[str], first: int, raw: str, lineno: int) -> tuple[int, ...]:
-    """The line indices spelled by words[first:]; the first bad word is refused."""
-    texts = words[first:]
-    digits = "".join(texts)
-    if digits.isascii() and digits.isdigit():
-        try:
-            return tuple(map(int, texts))
-        except ValueError:  # more digits than int() converts
-            pass
-    return tuple(_index(word, raw, lineno, i) for i, word in enumerate(texts, first))
-
-
-def _assignments(words: list[str], raw: str, lineno: int) -> tuple[tuple[int, int], ...]:
-    """The LINE=BIT pairs spelled by words[1:]; the first bad word is refused."""
-    texts = words[1:]
-    lines = [word[:-2] for word in texts]
-    digits = "".join(lines)
-    if digits.isascii() and digits.isdigit() and {word[-2:] for word in texts} <= _BITS:
-        try:
-            return tuple(zip(map(int, lines), [int(word[-1]) for word in texts]))
-        except ValueError:  # an empty LINE, or more digits than int() converts
-            pass
-    return tuple(_assignment(word, raw, lineno, i) for i, word in enumerate(texts, 1))
-
-
-def _assignment(word: str, raw: str, lineno: int, i: int) -> tuple[int, int]:
+def _assignment(word: str, lineno: int, column: int) -> None:
     expected = "expected LINE=BIT with BIT 0 or 1"
     line = word[:-2]
-    if word[-2:] not in ("=0", "=1") or not (line.isascii() and line.isdigit()):
-        raise _error(f"{expected}, got {word!r}", raw, lineno, i)
-    return _index(line, raw, lineno, i, expected), int(word[-1])
+    if word[-2:] not in _BITS or not (line.isascii() and line.isdigit()):
+        raise CircuitSyntaxError(f"{expected}, got {word!r}", lineno, column)
+    _index(line, lineno, column, expected)  # a LINE of more digits than int() converts
 
 
-def _check_gate(words: list[str], width: int | None, raw: str, lineno: int) -> None:
-    if len(words) < 2:
-        raise _error("gate statement needs a kind and line indices", raw, lineno, 0)
+def _check_gate(tokens: list[tuple[str, int]], width: int | None, lineno: int) -> None:
+    """Raise the first error of a gate line, given its words with their columns."""
+    if len(tokens) < 2:
+        raise CircuitSyntaxError("gate statement needs a kind and line indices", lineno, tokens[0][1])
+    word, column = tokens[1]
     try:
-        kind, arity = _GATE_WORDS[words[1]]
+        kind, arity = _GATE_WORDS[word]
     except KeyError:
-        raise _error(f"unknown gate kind {words[1]!r}", raw, lineno, 1) from None
-    if len(words) != arity + 2:
-        raise _error(
-            f"gate {kind.value!r} takes {arity} line indices, got {len(words) - 2}", raw, lineno, 1
+        raise CircuitSyntaxError(f"unknown gate kind {word!r}", lineno, column) from None
+    if len(tokens) != arity + 2:
+        raise CircuitSyntaxError(
+            f"gate {kind.value!r} takes {arity} line indices, got {len(tokens) - 2}", lineno, column
         )
-    lines = _indices(words, 2, raw, lineno)
-    if width is not None and max(lines) >= width:
-        i = next(i for i, line in enumerate(lines) if line >= width)
-        raise _error(f"line {lines[i]} out of range for width {width}", raw, lineno, i + 2)
+    lines = tuple(_index(word, lineno, at) for word, at in tokens[2:])
+    for line, (_, at) in zip(lines, tokens[2:]):
+        if width is not None and line >= width:
+            raise CircuitSyntaxError(f"line {line} out of range for width {width}", lineno, at)
     if len(set(lines)) != arity:
-        raise _error(f"duplicate line in gate: {lines}", raw, lineno, 1)
+        raise CircuitSyntaxError(f"duplicate line in gate: {lines}", lineno, column)
 
 
 def serialize(machine: Machine) -> str:

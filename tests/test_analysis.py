@@ -37,7 +37,7 @@ from revcirc import (
     truth_table,
     zero_garbage_compose,
 )
-from revcirc.analysis import ClauseResult
+from revcirc.analysis import _DECIMAL_BITS, ClauseResult
 from conftest import CLASSIFY_GROWTH_CALLS, classified_or_refused, reference_classify_growth, reference_growth_outcome
 from conftest import late_liar, machines
 
@@ -123,6 +123,17 @@ class TestGarbageProfile:
         b = garbage_profile(ripple_adder(2))
         assert a == b
         assert a.digest() == b.digest()
+
+    def test_digest_refuses_a_configuration_too_wide_for_decimal(self):
+        # 2^14284 - 1 has 4,300 digits, Python's default str() limit; one bit more is refused
+        fits = GarbageProfile("m", 1, _DECIMAL_BITS, ((1 << _DECIMAL_BITS) - 1,))
+        assert fits.digest() == "536c86ff525bfcba"
+        too_wide = GarbageProfile("m", 1, _DECIMAL_BITS + 1, ((1 << _DECIMAL_BITS + 1) - 1,))
+        for call in (too_wide.digest, too_wide.as_dict):
+            with pytest.raises(ExhaustiveBoundError, match="has 14285 bits; .* beyond 14284$"):
+                call()
+        # the bound is on the configurations, not the region: a wide region of small values digests
+        assert GarbageProfile("m", 1, 15000, (0, 1)).digest() == "b8499e97b3e447e0"
 
     def test_label_overrides_hash(self):
         assert garbage_profile(incrementer(3), label="inc3").machine_id == "inc3"

@@ -397,6 +397,12 @@ HOSTILE = [
     "width 3\ninput 0 1\npreset \u0663=0\noutput 0 1 2\n",
     "width 5\ninput 0 1\npreset 2=0 3=1 4=0\noutput 0 1\nrestored 2=0 3=1 4=2\n",
     "width 5\ninput 0 1\npreset 2=0 3=1 4=0\noutput 0 1\nrestored 2=0 " + _HUGE + "=1 4=0\n",
+    # A header error named before a later bad gate line, and header errors the batch check refuses.
+    "width 3\ninput 0 x\noutput 0 1 2\ngate cx 0 5\n",
+    "width 3\nwidth 3\n",
+    "qubits 3\nwidth 3\ninput 0 1 2\noutput 0 1 2\n",
+    "width 3\ninput\u00a00\u30001 \u00b2\noutput 0 1 2\n",
+    "# three lines\n\n   # all of them inputs\n\t\nwidth 3\ninput 0 1 2 # each\noutput 0 1 02x\n",
 ]
 # Good directives, then a gate block whose first error only the per-line checker places.
 GATE_BLOCK_HOSTILE = [
@@ -453,6 +459,9 @@ UNUSUAL = [
     _HEAD + "gate x 0\n# between\n   \n\t\ngate x 1\n",
     _HEAD + "gate ccx 000 01 2\ngate ccx 0 1 2\ngate x 0002\n",
     _HEAD + "gate\u00a0x\u30002\ngate\u2003cx 0 1\n",  # non-ASCII whitespace
+    "width\u00a03\ninput\u00a00\u00a01 2\npreset\u00a0\noutput 0\u00a01\u00a02\ngate x 0\n",
+    "input 0 1 2\noutput 0 1 2\nwidth 3\ngate x 0\n",
+    "width 3\ninput 0 1 2\noutput 0 1 2\ngarbage\ngate x 0\n",
 ]
 
 
@@ -494,8 +503,12 @@ def _refuse(*args):
     raise AssertionError("the per-line checker ran on a valid document")
 
 
+# The hostile documents whose error is a CircuitSyntaxError, not a role error found after parsing.
+SYNTAX_HOSTILE = [text for text in HOSTILE if parse_outcome(reference_parse_circuit, text)[0] is CircuitSyntaxError]
+
+
 class TestValidDocumentsTakeTheFastPath:
-    """The per-line checker only raises: every valid document's gates are built in `_gate_block`."""
+    """The per-line checker only raises, and only it: every valid document is built in one fast pass."""
 
     def test_roster_golden_and_unusual_documents(self):
         texts = [serialize(m) for _, m in small_machine_roster()]
@@ -512,7 +525,15 @@ class TestValidDocumentsTakeTheFastPath:
             with mock.patch.object(fileformat, "_raise_first_error", _refuse):
                 assert parse_circuit(text) == expected
 
-    @pytest.mark.parametrize("text", GATE_BLOCK_HOSTILE)
+    @given(_edited_documents())
+    def test_edited_documents_the_reference_refuses_reach_the_checker(self, text):
+        expected = parse_outcome(reference_parse_circuit, text)
+        if isinstance(expected, tuple) and expected[0] is CircuitSyntaxError:
+            with mock.patch.object(fileformat, "_raise_first_error", _refuse):
+                with pytest.raises(AssertionError, match="per-line checker"):
+                    parse_circuit(text)
+
+    @pytest.mark.parametrize("text", SYNTAX_HOSTILE)
     def test_refused_documents_reach_the_checker(self, text):
         with mock.patch.object(fileformat, "_raise_first_error", _refuse):
             with pytest.raises(AssertionError, match="per-line checker"):
