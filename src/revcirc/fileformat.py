@@ -37,6 +37,7 @@ first error in line order, at the column of its offending word.
 from __future__ import annotations
 
 import re
+from itertools import chain
 
 from .ir import Gate, GateKind, InterfaceSpec, InvalidCircuitError, Machine
 from .ir import _trusted_circuit, _trusted_gate
@@ -263,11 +264,12 @@ def serialize(machine: Machine) -> str:
     """Canonical text form of a machine; stable byte-for-byte across runs."""
     iface = machine.iface
     out = [f"width {iface.width}"]
-    for name in _DIRECTIVES[1:]:
-        word = " %s=%s" if name in _ASSIGNED else " %s"
+    for name in _DIRECTIVES[1:]:  # each line by one `%` over its word template, repeated
         values = getattr(iface, f"{name}_lines")
-        if values:
-            out.append(name + "".join(word % value for value in values))
+        if values and name in _ASSIGNED:
+            out.append(name + " %s=%s" * len(values) % tuple(chain.from_iterable(values)))
+        elif values:
+            out.append(name + " %s" * len(values) % values)
     gates = machine.circuit.gates
     for i in range(0, len(gates), _SLICE):  # one piece per slice of gate lines
         lines = [_GATE_LINE[len(g.controls)] % (g.controls + (g.target,)) for g in gates[i : i + _SLICE]]

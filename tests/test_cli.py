@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import contextlib
+import gc
 import io
 import json
 import os
@@ -341,6 +342,88 @@ class TestExitCodes:
         assert "Reversible-logic" in capsys.readouterr().out
 
 
+@pytest.fixture()
+def collector():
+    """Yields nothing; restores the cyclic collector's state the test found, whatever the test did to it."""
+    collecting = gc.isenabled()
+    yield
+    (gc.enable if collecting else gc.disable)()
+
+class TestCollectorPause:
+    """`main` pauses the cyclic collector for one command and leaves it as it found it."""
+
+    # Each exit path of `main` with its code; the documents are written to tmp_path first.
+    EXITS = [
+        (["gen", "incr", "--bits", "3", "-o", "{tmp}/out.rvc"], 0),
+        (["sim", "-c", "{tmp}/zero.rvc"], 1),
+        (["sim", "-c", "{tmp}/bad.rvc", "--int", "0"], 2),
+        (["invert", "-c", "{tmp}/zero.rvc", "--int", "1"], 3),
+        (["growth", "--family", "incr", "--from", "21", "--to", "23"], 4),
+    ]
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("argv, code", EXITS)
+    def test_main_restores_the_collector_on_every_exit_path(self, tmp_path, collector, enabled, argv, code):
+        (tmp_path / "zero.rvc").write_text("width 1\npreset 0=0\noutput 0\n")
+        (tmp_path / "bad.rvc").write_text("width 2\ninput 0 1\noutput 0 1\ngate ccx 0 1 5\n")
+        (gc.enable if enabled else gc.disable)()
+        assert run_captured([word.format(tmp=tmp_path) for word in argv])[0] == code
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_main_restores_the_collector_when_a_command_raises(self, incr3, collector, enabled):
+        during = []
+
+        def fail(machine):
+            during.append(gc.isenabled())
+            raise RuntimeError("a command failed")
+
+        (gc.enable if enabled else gc.disable)()
+        with mock.patch.object(cli, "truth_table", fail), pytest.raises(RuntimeError, match="a command failed"):
+            main(["table", "-c", str(incr3)])
+        assert during == [False]
+        assert gc.isenabled() is enabled
+
+    def test_a_command_runs_no_collection_and_leaves_nothing_behind(self, tmp_path, collector):
+        gc.enable()
+        started = []  # the generation of each collection begun while `record` is registered
+
+        def record(phase, info):
+            if phase == "start":
+                started.append(info["generation"])
+
+        def run(argv: list[str]) -> str:
+            """Run one command through `main`; return its stdout, and note what gc.collect() finds after it."""
+            gc.collect()
+            started.clear()
+            out = io.StringIO()
+            gc.callbacks.append(record)
+            try:
+                with contextlib.redirect_stdout(out):
+                    code = main(argv)
+                    during = len(started)  # read before anything allocates after `main` returns
+            finally:
+                gc.callbacks.remove(record)
+            assert (code, during) == (0, 0), argv
+            # Resumed, the collector runs at most one young pass, over what the command left alive.
+            assert started in ([], [0]), argv
+            found.append(gc.collect())
+            return out.getvalue()
+
+        found_at = {}  # bits -> what gc.collect() finds right after each command
+        for bits in (30, 300):
+            found = found_at[bits] = []
+            d = tmp_path / str(bits)
+            d.mkdir()
+            run(["gen", "incr", "--bits", str(bits), "-o", f"{d}/incr.rvc"])
+            run(["gen", "decr", "--bits", str(bits), "-o", f"{d}/decr.rvc"])
+            run(["zg-compose", "--forward", f"{d}/incr.rvc", "--inverse", f"{d}/decr.rvc", "-o", f"{d}/zg.rvc"])
+            run(["bennett", "-c", f"{d}/incr.rvc", "-o", f"{d}/bennett.rvc"])
+            final = json.loads(run(["sim", "-c", f"{d}/zg.rvc", "--int", "5", "--json"]))["final_state"]
+            assert json.loads(run(["sim", "-c", f"{d}/zg.rvc", "--backward", "-x", final, "--json"]))["input_value"] == 5
+        assert found_at[30] == found_at[300]
+
+
 def test_module_entry_point_smoke(tmp_path):
     out = tmp_path / "m.rvc"
     src = str(Path(revcirc.__file__).resolve().parent.parent)
@@ -623,11 +706,11 @@ class TestColumnWriters:
         assert capsys.readouterr().out.splitlines()[-1] == "input: 7 (bits 111), matched garbage 1"
 
 
-def preset_garbage_document(garbage: int) -> str:
-    """One input line, which is the output, and `garbage` lines preset to 1 and declared garbage."""
+def preset_garbage_document(garbage: int, bit: int = 1) -> str:
+    """One input line, which is the output, and `garbage` lines preset to `bit` and declared garbage."""
     lines = range(1, garbage + 1)
     return (
-        f"width {garbage + 1}\ninput 0\npreset {' '.join(f'{l}=1' for l in lines)}\n"
+        f"width {garbage + 1}\ninput 0\npreset {' '.join(f'{l}={bit}' for l in lines)}\n"
         f"output 0\ngarbage {' '.join(map(str, lines))}\n"
     )
 
@@ -688,3 +771,16 @@ class TestDecimalWidthRefusal:
             assert got == code, garbage
             if code == 0:
                 assert json.loads(out)["garbage_value"] == (1 << garbage) - 1
+
+    def test_the_cli_refuses_by_width_and_the_library_by_value(self, tmp_path):
+        # Every configuration is 0, one digit; the CLI refuses by the region's width, before any gate runs.
+        path = tmp_path / "zeros.rvc"
+        path.write_text(preset_garbage_document(15000, bit=0))
+        no_gates = mock.Mock(side_effect=AssertionError("a gate ran"))
+        with mock.patch.object(revcirc.sim, "_apply_gates", no_gates):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                assert main(["profile", "-c", str(path), "--json"]) == 4
+        assert (out.getvalue(), err.getvalue()) == ("", self.REFUSED)
+        report = garbage_profile(parse_circuit(path.read_text())).as_dict()
+        assert (report["configs"], report["config_count"]) == ([0], 1)
