@@ -441,9 +441,7 @@ def main(argv: list[str] | None = None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        cli.main(args=argv, prog_name="revcirc", standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        return exc.exit_code
+        code = cli.main(args=argv, prog_name="revcirc", standalone_mode=False)
     except click.UsageError as exc:
         exc.show()
         return 1
@@ -456,7 +454,7 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         if collecting:
             gc.enable()
-    return 0
+    return code if isinstance(code, int) else 0  # click returns an Exit's code, or the command's None
 
 
 def entry() -> None:

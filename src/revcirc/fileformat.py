@@ -19,19 +19,21 @@ serialized machine reproduces it structurally, and serialize-parse-serialize
 is byte-identical.
 
 The parser reads a document in one pass that raises nothing itself. Each
-directive line is cut at `#` and split, its keyword must be known and not
-yet seen, and its index words (for LINE=BIT words, the LINE parts, with
-every `=BIT` ending `=0` or `=1`) are checked as one batch to be ASCII
-digits, then read with `int()`. The gate block, from the first gate line on,
+line is cut at `#` once, and a cut line is a prefix of its line, so every
+column holds. One character rule then runs over the document's words: no
+non-ASCII character, `+`, `-` or `_`. Besides ASCII digits these are the
+only characters `int()` reads, so from here on every word that `int()`
+reads is ASCII digits. Each directive line is split, its keyword must be
+known and not yet seen, and its words are read in one expression: `int()`
+of each index word, or of each LINE=BIT word's LINE with its `=0` or `=1`
+ending looked up as the bit. The gate block, from the first gate line on,
 is read once per distinct line: the line is split, its words unpacked by
 their count, its keyword and kind matched exactly, its indices read with
 `int()` and checked distinct, and its Gate built through `ir`'s private
 trusted constructors with no second check, so equal gate lines share one
-Gate. Two checks then run once per document: the largest index against
-`width`, and one character check over the block's words (ASCII, and no `+`,
-`-` or `_`), which with every `int()` succeeding means every index is ASCII
-digits. A document that fails anything is read again from its first line by
-one walker, which tokenizes each line once, builds nothing and raises the
+Gate. The largest index is checked against `width` once per document. A
+document that fails anything is read again from its first cut line by one
+walker, which tokenizes each line once, builds nothing and raises the
 first error in line order, at the column of its offending word.
 """
 from __future__ import annotations
@@ -51,7 +53,7 @@ _GATE_LINE = tuple(
     "gate " + kind.value + " %s" * (kind.n_controls + 1)
     for kind in sorted(GateKind, key=lambda kind: kind.n_controls)
 )
-_BITS = {"=0", "=1"}  # how a LINE=BIT word may end
+_BIT = {"=0": 0, "=1": 1}  # a LINE=BIT word's ending -> its bit
 _X, _CX, _CCX = GateKind.X, GateKind.CX, GateKind.CCX
 _SLICE = 4096  # gate lines `serialize` holds as separate strings at once
 
@@ -68,7 +70,17 @@ class CircuitSyntaxError(InvalidCircuitError):
 def parse_circuit(text: str) -> Machine:
     """Parse a .rvc document into a validated Machine."""
     lines = text.splitlines()
-    header = _header(lines)
+    chars = text  # the document's characters, with its comments cut
+    if "#" in text:  # a cut line is a prefix of its line, so every column holds
+        lines = [raw.partition("#")[0] if "#" in raw else raw for raw in lines]
+        chars = "\n".join(lines)
+    if not chars.isascii():  # words may be split at non-ASCII whitespace: check the words alone
+        chars = "".join(chars.split())
+    # Besides ASCII digits, int() reads only a sign, `_` and non-ASCII digits, so
+    # where these are absent, every word that int() reads is ASCII digits.
+    plain = chars.isascii() and not ("-" in chars or "+" in chars or "_" in chars)
+    del chars  # a cut document's copy is freed before anything is built
+    header = _header(lines) if plain else None
     gates = None
     if header is not None:  # the gate block is read once the header's words are freed
         width, regions, start = header
@@ -87,7 +99,7 @@ def _header(lines: list[str]) -> tuple[int, dict[str, tuple], int] | None:
     """The width, the directives' values and the first gate line's index, or None if a line fails."""
     regions: dict[str, tuple] = {}  # directive -> its values, once seen
     for start, raw in enumerate(lines):
-        words = raw.partition("#")[0].split()
+        words = raw.split()
         if not words:
             continue
         keyword = words[0]
@@ -96,20 +108,14 @@ def _header(lines: list[str]) -> tuple[int, dict[str, tuple], int] | None:
         if keyword not in _DIRECTIVES or keyword in regions:
             return None
         texts = words[1:]
-        if keyword in _ASSIGNED:
-            if not {word[-2:] for word in texts} <= _BITS:
-                return None
-            bits = [int(word[-1]) for word in texts]
-            texts = [word[:-2] for word in texts]
-        # Only ASCII digits: str.isdigit also accepts digits such as '²' and '٣'.
-        digits = "".join(texts)
-        if digits and not (digits.isascii() and digits.isdigit()):
-            return None
         try:
-            values = tuple(map(int, texts))
-        except ValueError:  # an empty LINE, or more digits than int() converts
+            if keyword in _ASSIGNED:
+                bits = map(_BIT.__getitem__, [word[-2:] for word in texts])
+                regions[keyword] = tuple(zip(map(int, [word[:-2] for word in texts]), bits))
+            else:
+                regions[keyword] = tuple(map(int, texts))
+        except (ValueError, KeyError):  # a word int() does not read, or a BIT other than 0 or 1
             return None
-        regions[keyword] = tuple(zip(values, bits)) if keyword in _ASSIGNED else values
     else:
         start = len(lines)
     widths = regions.get("width", ())  # none if it is missing or follows a gate
@@ -121,25 +127,14 @@ def _header(lines: list[str]) -> tuple[int, dict[str, tuple], int] | None:
 def _gate_block(block: list[str], width: int) -> tuple[Gate, ...] | None:
     """The gates of the lines from the first gate line on, or None if any line fails.
 
-    Each distinct line is split and built once; the index words' characters
-    and their range are checked once for the whole block.
+    Each distinct line is split and built once; the indices' range is checked
+    once for the whole block.
     """
     distinct = list(dict.fromkeys(block))
-    cut = distinct
-    chars = "\n".join(distinct)
-    if "#" in chars:
-        cut = [raw.partition("#")[0] if "#" in raw else raw for raw in distinct]
-        chars = "\n".join(cut)
-    if not chars.isascii():  # words may be split at non-ASCII whitespace: check the words alone
-        chars = "".join(chars.split())
-    # Besides ASCII digits, int() reads only a sign, `_` and non-ASCII digits, so
-    # where these pass and every int() succeeds, each index word is ASCII digits.
-    if not chars.isascii() or "-" in chars or "+" in chars or "_" in chars:
-        return None
     known: dict[str, Gate | None] = {}  # line -> its Gate, or None for a blank line
     top = 0  # the largest line index
     try:
-        for raw, words in zip(distinct, map(str.split, cut)):
+        for raw, words in zip(distinct, map(str.split, distinct)):
             count = len(words)
             if count == 5:
                 keyword, kind, a, b, t = words
@@ -184,14 +179,14 @@ def _gate_block(block: list[str], width: int) -> tuple[Gate, ...] | None:
 
 
 def _raise_first_error(lines: list[str]) -> None:
-    """Raise the first error in line order of a document `parse_circuit` refused, at its line and column.
+    """Raise the first error in line order of a refused document's cut lines, at its line and column.
 
     Gates before `width` are not range-checked; a missing `width` is named only if no line fails.
     """
     width: int | None = None
     seen: set[str] = set()  # the keywords read so far: directives, and "gate" from the first gate line on
     for lineno, raw in enumerate(lines, start=1):
-        tokens = [(m.group(), m.start() + 1) for m in _TOKEN.finditer(raw.partition("#")[0])]
+        tokens = [(m.group(), m.start() + 1) for m in _TOKEN.finditer(raw)]
         if not tokens:
             continue
         (keyword, column), *args = tokens
@@ -234,7 +229,7 @@ def _index(word: str, lineno: int, column: int, expected: str = "expected a line
 def _assignment(word: str, lineno: int, column: int) -> None:
     expected = "expected LINE=BIT with BIT 0 or 1"
     line = word[:-2]
-    if word[-2:] not in _BITS or not (line.isascii() and line.isdigit()):
+    if word[-2:] not in _BIT or not (line.isascii() and line.isdigit()):
         raise CircuitSyntaxError(f"{expected}, got {word!r}", lineno, column)
     _index(line, lineno, column, expected)  # a LINE of more digits than int() converts
 

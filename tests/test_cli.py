@@ -13,6 +13,7 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
+import click
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -340,6 +341,17 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "Reversible-logic" in capsys.readouterr().out
+
+    def test_main_returns_the_code_a_command_exits_with(self, capsys):
+        @click.command()
+        @click.pass_context
+        def leave(ctx):
+            ctx.exit(3)
+
+        with mock.patch.dict(cli.cli.commands, {"leave": leave}):
+            assert main(["leave"]) == 3
+            assert main(["--help"]) == 0
+        assert "leave" in capsys.readouterr().out
 
 
 @pytest.fixture()

@@ -397,6 +397,11 @@ HOSTILE = [
     "width 3\ninput 0 1\npreset \u0663=0\noutput 0 1 2\n",
     "width 5\ninput 0 1\npreset 2=0 3=1 4=0\noutput 0 1\nrestored 2=0 3=1 4=2\n",
     "width 5\ninput 0 1\npreset 2=0 3=1 4=0\noutput 0 1\nrestored 2=0 " + _HUGE + "=1 4=0\n",
+    # A sign or `_` in a LINE=BIT word or in width, which the document's character rule refuses.
+    "width 3\ninput 0 1\npreset +2=0\noutput 0 1 2\n",
+    "width 3\ninput 0 1\npreset 2_0=0\noutput 0 1 2\n",
+    "width +3\ninput 0 1 2\noutput 0 1 2\n",
+    "width 1_0\ninput 0 1 2\noutput 0 1 2\n",
     # A header error named before a later bad gate line, and header errors the batch check refuses.
     "width 3\ninput 0 x\noutput 0 1 2\ngate cx 0 5\n",
     "width 3\nwidth 3\n",
@@ -462,6 +467,9 @@ UNUSUAL = [
     "width\u00a03\ninput\u00a00\u00a01 2\npreset\u00a0\noutput 0\u00a01\u00a02\ngate x 0\n",
     "input 0 1 2\noutput 0 1 2\nwidth 3\ngate x 0\n",
     "width 3\ninput 0 1 2\noutput 0 1 2\ngarbage\ngate x 0\n",
+    # Comments holding what the character rule refuses outside them, and a comment on every line.
+    "width 3 # co-author_x +1 caf\u00e9\ninput 0 1 2 # \u00b2 - _\noutput 0 1 2\ngate x 0\n",
+    "# +-_\u00e9\nwidth 3 # w\ninput 0 1 #-\npreset 2=1 # _\noutput 0 1 2 # +\ngate cx 0 1 # \u00b2\ngate x 2 #\n",
 ]
 
 
