@@ -135,10 +135,11 @@ class ConformanceReport:
     ) -> ConformanceReport:
         """The report on `machine` given how its enumeration ended.
 
-        `violation` is what `truth_table` raised for the first input on which
-        a declared-restored line missed its constant, or None if every row
-        held. The two partition clauses are structural, enforced when the
-        interface was built, and re-stated for completeness.
+        `violation` is what `sim._final_lines` raised for the first input on
+        which a declared-restored line missed its constant, or None if every
+        input held; `conformance` reads it directly, and the CLI's `profile`
+        through `garbage_profile`. The two partition clauses are structural,
+        enforced when the interface was built, and re-stated for completeness.
         """
         restored = ClauseResult(
             "restored-constants", True, detail="" if machine.iface.restored_lines else "no restored lines declared"
@@ -238,9 +239,9 @@ def conformance(
 ) -> ConformanceReport:
     """Check the interface declaration against actual behavior on every input.
 
-    A reading of `truth_table`, which verifies the restored lines on every
-    row: the report names the first input on which a declared-restored line
-    fails to hold its constant.
+    A reading of `sim._final_lines`, the bit-sliced pass that verifies the
+    restored lines on every input with no transpose: the report names the
+    first input on which a declared-restored line fails to hold its constant.
     """
     violation = None
     try:

@@ -12,16 +12,16 @@ Exit codes: 0 success, 1 usage error, 2 invalid circuit or document,
 report to write its values in decimal).
 
 `main` runs each command with the cyclic garbage collector paused and
-restores its previous state on every exit: nothing a command builds forms a
-reference cycle, so reference counting frees all of it, and a collection
-would only rescan the live gates of a large document.
+restores its previous state on every exit: reference counting frees all a
+command builds but the few dozen small objects of the cycle that `json`'s
+encoder forms when `--json` sets `indent`, which hold no report text; a
+collection would only rescan the live gates of a large document.
 """
 from __future__ import annotations
 
 import gc
 import json
 import sys
-from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 import click
@@ -72,9 +72,20 @@ def _int_to_bits(value: int, width: int) -> str:
 # A table row as `json.dumps(indent=2)` writes it in the report's "rows" list.
 _ROW = '{\n      "input": %d,\n      "output": %d,\n      "garbage": %d\n    }'
 
+# `json` writes the NUL standing for a section as this text, after the space of its `": "` or its list
+# indent. Inside a string a space is never followed by a bare quote, so only a key or string that is
+# a lone NUL could also match, and no report holds one: its keys are fixed names, and its strings are
+# bits, digests, fixed words, messages and output paths that `open` accepted, which hold no NUL.
+_HOLE = ' "\\u0000"'
 
-class _Json(str):
-    """A report section already written as `json.dumps(indent=2)` text at its indent; `_dumps` copies it."""
+
+class _Json:
+    """A report section already written as `json.dumps(indent=2)` text at its indent; `_dumps` puts it in place."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str) -> None:
+        self.text = text
 
 
 def _check_decimal(iface: InterfaceSpec, *regions: str) -> None:
@@ -104,38 +115,27 @@ def _repeated(item: str, fields, count: int, pad: str, brackets: str) -> _Json:
     return _Json(f"{brackets[0]}\n{inner}{body}\n{pad}{brackets[1]}")
 
 
-def _key(key: str | int) -> str:
-    """A dict key as `json` writes it: a str quoted, an int (not a bool) as its quoted decimal."""
-    return '"%d"' % key if type(key) is int else _quote(key)
+def _dumps(report: dict) -> str:
+    """Exactly `json.dumps(report, indent=2)`, with each `_Json` section's text standing for its value.
 
-
-def _dumps(value, pad: str) -> str:
-    """Exactly `json.dumps(value, indent=2)` for `value` at indent `pad`; keys must be str or int.
-
-    With `indent` set `json` encodes in Python. Here a list of ints is written by one `%` over a
-    repeated item template, in C, and a `_Json` section is copied as it is. `type(v) is int`
-    keeps bools out.
+    `json` cannot encode a `_Json`, so it calls `hole`, which keeps the section and has a NUL written in its place.
     """
-    if type(value) is _Json:
-        return value
-    inner = pad + "  "
-    if isinstance(value, dict):
-        items = [f"{_key(key)}: {_dumps(item, inner)}" for key, item in value.items()]
-        brackets = "{}"
-    elif isinstance(value, (list, tuple)):
-        if set(map(type, value)) == {int}:
-            return _repeated("%d", value, len(value), pad, "[]")
-        items = [_dumps(item, inner) for item in value]
-        brackets = "[]"
-    else:
-        return json.dumps(value)
-    body = f",\n{inner}".join(items)
-    return f"{brackets[0]}\n{inner}{body}\n{pad}{brackets[1]}" if items else brackets
+    sections: list[_Json] = []
+
+    def hole(section: _Json) -> str:
+        sections.append(section)
+        return "\0"
+
+    parts = json.dumps(report, indent=2, default=hole).split(_HOLE)
+    pieces = [piece for part, section in zip(parts, sections) for piece in (part, " ", section.text)]
+    sections.clear()  # `json`'s encoder keeps `hole` in a cycle, which `main`'s paused collector leaves
+    return "".join(pieces + parts[-1:])
 
 
 def _profile_section(prof: GarbageProfile, pad: str) -> dict:
-    """`prof.as_dict()` as a report section at indent `pad`, its per_output map written from the sorted pairs."""
+    """`prof.as_dict()` as a report section at indent `pad`, its configs and per_output map written as `_Json`."""
     section = prof._summary()
+    section["configs"] = _repeated("%d", prof.configs, prof.config_count, pad + "  ", "[]")
     if prof.per_output is not None:
         outputs = sorted(prof.per_output)
         pairs = _interleave(outputs, map(prof.per_output.__getitem__, outputs))
@@ -144,7 +144,7 @@ def _profile_section(prof: GarbageProfile, pad: str) -> dict:
 
 
 def _emit(report: dict, as_json: bool, human: list[str]) -> None:
-    click.echo(_dumps(report, "") if as_json else "\n".join(human))
+    click.echo(_dumps(report) if as_json else "\n".join(human))
 
 
 @click.group()

@@ -55,11 +55,19 @@ class TrialBudgetExceededError(InversionError):
 
 @dataclass(frozen=True)
 class InversionResult:
+    """An inversion's answer and its cost.
+
+    `unique_preimage` is True only where the search established that `input_value` is the one
+    input mapping to the output: for the table method, that the profile found the output function
+    injective; for the blind method, that exactly one garbage value fits the output in a fit table
+    of all 2^k values. A budget short of 2^k runs no such table, so it reports False.
+    """
+
     input_value: int
     trials: int
     method: str  # "table" or "blind"
     matched_config: int
-    unique_preimage: bool = True
+    unique_preimage: bool
 
     def as_dict(self) -> dict:
         return {
@@ -167,6 +175,11 @@ def invert_blind(
     Deterministic given `seed`. The default budget is 64 * 2^k trials, far
     past the 2^k expected for k garbage bits, so exhausting it on a machine
     whose output is actually in the image is astronomically unlikely.
+
+    Each garbage value that fits `y` runs back to a different preimage, so
+    `unique_preimage` is True when a budget of at least 2^k (the default)
+    finds exactly one value in its fit table. A smaller budget has not run
+    every value and reports False.
     """
     k = machine.iface.garbage_width
     if k > max_garbage_bits:
@@ -191,7 +204,8 @@ def invert_blind(
                 hit = "".join(map(fit.__getitem__, draws)).find("1")
             if hit >= 0:
                 input_value = _input_of(machine, y, draws[hit])
-                return InversionResult(input_value, done + hit + 1, "blind", draws[hit])
+                unique = fit is not None and fit.count("1") == 1
+                return InversionResult(input_value, done + hit + 1, "blind", draws[hit], unique)
     raise TrialBudgetExceededError(
         f"no consistent garbage string found for output {y} in {max_trials} trials "
         f"(k={k} garbage bits; expected cost grows as 2^k)",

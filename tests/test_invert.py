@@ -67,7 +67,11 @@ def reference_invert_blind(machine: Machine, y: int, seed: int, max_trials: int 
         config = rng.getrandbits(k) if k else 0
         start = reference_trial(machine, y, config)
         if start is not None:
-            return InversionResult(start.value_of(machine.iface.input_lines), trial, "blind", config)
+            # Each garbage value that fits runs back to its own preimage; a budget short of 2^k
+            # has not tried them all.
+            fits = (reference_trial(machine, y, g) is not None for g in range(1 << k))
+            unique = max_trials >= 1 << k and sum(fits) == 1
+            return InversionResult(start.value_of(machine.iface.input_lines), trial, "blind", config, unique)
     raise TrialBudgetExceededError(
         f"no consistent garbage string found for output {y} in {max_trials} trials "
         f"(k={k} garbage bits; expected cost grows as 2^k)",
@@ -235,6 +239,20 @@ class TestInvertBlind:
         trials = [invert_blind(m, 0, seed=s).trials for s in range(1000)]
         mean = statistics.fmean(trials)
         assert mean == pytest.approx(2**k, rel=0.15)
+
+    def test_unique_preimage_only_where_one_garbage_value_fits(self):
+        # No gates: inputs 1 and 3 both map to output 1, through garbage values 0 and 1.
+        iface = InterfaceSpec(width=2, input_lines=(0, 1), output_lines=(0,), garbage_lines=(1,))
+        m = Machine(Circuit(2), iface)
+        assert [invert_blind(m, 1, seed=seed).unique_preimage for seed in range(4)] == [False] * 4
+        adder = ripple_adder(4)
+        k = adder.iface.garbage_width
+        ys = range(1 << adder.iface.output_width)
+        assert all(invert_blind(adder, y, seed=y).unique_preimage for y in ys)
+        # A budget short of 2^k runs no fit table, so it establishes nothing.
+        short = [outcome(invert_blind, adder, y, y, (1 << k) - 1) for y in ys]
+        hits = [r for r in short if isinstance(r, InversionResult)]
+        assert hits and not any(r.unique_preimage for r in hits)
 
     def test_correct_answer_every_time(self):
         m = incrementer(5)
