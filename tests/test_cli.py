@@ -36,7 +36,7 @@ from revcirc import (
     truth_table,
 )
 from revcirc.analysis import machine_id
-from revcirc.cli import _Json, _dumps, _int_to_bits, _repeated, main
+from revcirc.cli import _ROW, _Json, _dumps, _int_to_bits, _interleave, _repeated, main
 
 from conftest import machines, small_machine_roster
 
@@ -525,6 +525,41 @@ def with_sections(value, depth: int, draw):
 @given(_JSON, st.data())
 def test_dumps_matches_json_indent_2(value, data):
     assert _dumps(with_sections(value, 0, data.draw)) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_dumps_bulk_sections_of_1024_rows(seed):
+    # the sizes of a report's per_output map, configs and table rows, past what hypothesis draws
+    rng = random.Random(seed)
+    ints = [rng.choice([0, -1, rng.getrandbits(70), -rng.getrandbits(8)]) for _ in range(3 << 10)]
+    per_output = dict(zip(rng.sample(range(-5000, 5000), 1 << 10), ints))
+    rows = [{"input": x, "output": ints[x], "garbage": ints[x + 1024]} for x in range(1 << 10)]
+    report = {"per_output": per_output, "rows": rows, "configs": ints, 7: [True] + ints[:5]}
+    assert _dumps(report) == json.dumps(report, indent=2)
+    sections = {
+        "per_output": _repeated('"%d": %d', _interleave(list(per_output), per_output.values()), 1 << 10, "  ", "{}"),
+        "rows": _repeated(_ROW, _interleave(range(1 << 10), ints[:1024], ints[1024:2048]), 1 << 10, "  ", "[]"),
+        "configs": _repeated("%d", ints, len(ints), "  ", "[]"),
+        7: report[7],
+    }
+    assert _dumps(sections) == json.dumps(report, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [[True, 1], [1, False], {1: True}, {"a": 1, "b": False}, {1: 2, 3: False}, [{"a": True}, {"a": 1}], [{1: 1}, {1: False}]],
+)
+def test_dumps_keeps_bools_off_the_int_paths(value):
+    # json writes a bool as true/false, never 1/0, also beside a section of ints
+    assert _dumps(value) == json.dumps(value, indent=2)
+    section = _repeated("%d", [1, 0], 2, "  ", "[]")
+    assert _dumps({"ints": section, "value": value}) == json.dumps({"ints": [1, 0], "value": value}, indent=2)
+
+
+@pytest.mark.parametrize("value", [{True: 1}, {1.5: 1}, {None: 2}, [{False: 1}]])
+def test_dumps_writes_other_keys_as_json_does(value):
+    # a bool, float or None key is json's to write, as "true", "1.5" or "null"; the writer adds no rule
+    assert _dumps(value) == json.dumps(value, indent=2)
 
 
 def test_dumps_leaves_no_section_to_the_collector():
