@@ -15,6 +15,7 @@ because its report carries the per-output map.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -36,6 +37,18 @@ _MAX_SPLIT_CONFIGS = 512
 # The most bits of a value `str()` writes within Python's default limit of
 # 4,300 digits: 2^14284 - 1 has 4,300 digits, 2^14285 - 1 has 4,301.
 _DECIMAL_BITS = 14284
+# The fewest bits `_decimal_bits` returns: at 640 digits, the lowest limit Python accepts but 0.
+_LEAST_DECIMAL_BITS = 2126
+
+
+def _decimal_bits() -> int:
+    """The most bits of a value `str()` writes: `_DECIMAL_BITS`, or fewer under a lower digit limit.
+
+    A limit set by `PYTHONINTMAXSTRDIGITS`, `-X int_max_str_digits` or `sys.set_int_max_str_digits`
+    counts; 0 means none, and Python before 3.10.7 has no such limit.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    return (10**limit).bit_length() - 1 if 0 < limit < 4300 else _DECIMAL_BITS
 
 
 class InsufficientPointsError(ValueError):
@@ -67,17 +80,18 @@ class GarbageProfile:
     def digest(self) -> str:
         """Stable hash of the sorted config set, for reproducible reports.
 
-        Raises ExhaustiveBoundError if a configuration has more than 14,284 bits,
-        which `str()` may not write in decimal.
+        Raises ExhaustiveBoundError if a configuration has more than 14,284 bits
+        (fewer under a lower `str()` digit limit), which `str()` may not write in decimal.
         """
         import hashlib  # here, not at module level: most commands take no digest
 
         bits = max(self.configs, default=0).bit_length()
-        if bits > _DECIMAL_BITS:
+        if bits > (bound := _decimal_bits()):
             raise ExhaustiveBoundError(
-                f"a garbage configuration has {bits} bits; refusing to write it in decimal beyond {_DECIMAL_BITS}"
+                f"a garbage configuration has {bits} bits; refusing to write it in decimal beyond {bound}"
             )
-        body = f"{self.garbage_bits}:" + ",".join(str(c) for c in self.configs)
+        configs = tuple(self.configs)  # `%` reads a tuple; a caller may pass a list
+        body = f"{self.garbage_bits}:" + ",".join(["%d"] * len(configs)) % configs  # twice a str() join's speed
         return hashlib.sha256(body.encode()).hexdigest()[:16]
 
     def as_dict(self) -> dict:

@@ -28,7 +28,7 @@ import click
 
 from . import library
 from .analysis import ConformanceReport, GarbageProfile, garbage_profile, growth_report, machine_id
-from .analysis import _DECIMAL_BITS
+from .analysis import _LEAST_DECIMAL_BITS, _decimal_bits
 from .fileformat import parse_circuit, serialize
 from .invert import InversionError, invert_blind, invert_with_profile
 from .ir import InterfaceSpec, InvalidCircuitError, Machine, inverse_machine
@@ -50,11 +50,6 @@ def _load(path: str) -> Machine:
     except UnicodeDecodeError as exc:
         raise InvalidCircuitError(f"{path} is not UTF-8 text: {exc}") from exc
     return parse_circuit(text)
-
-
-def _save(machine: Machine, path: str) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(serialize(machine))
 
 
 def _bits_to_int(bits: str, what: str, expected_len: int) -> int:
@@ -92,9 +87,9 @@ def _check_decimal(iface: InterfaceSpec, *regions: str) -> None:
     """Refuse, before any run, a report writing values of a region too wide for `str()` in decimal."""
     for region in regions:
         bits = getattr(iface, f"{region}_width")
-        if bits > _DECIMAL_BITS:
+        if bits > _LEAST_DECIMAL_BITS and bits > (bound := _decimal_bits()):  # narrower regions read no limit
             raise ExhaustiveBoundError(
-                f"{region} region has {bits} bits; refusing to write its values in decimal beyond {_DECIMAL_BITS}"
+                f"{region} region has {bits} bits; refusing to write its values in decimal beyond {bound}"
             )
 
 
@@ -246,18 +241,13 @@ def table(path: str, as_json: bool) -> None:
     _emit(report, as_json, human)
 
 
-def _report_written(machine: Machine, out: str, command: str, as_json: bool) -> None:
-    report = {
-        "command": command,
-        "path": out,
-        "width": machine.width,
-        "gates": len(machine.circuit),
-        "garbage_lines": machine.iface.garbage_width,
-    }
-    _emit(report, as_json, [
-        f"wrote {out}: width {machine.width}, {len(machine.circuit)} gates, "
-        f"{machine.iface.garbage_width} garbage line(s)"
-    ])
+def _write(machine: Machine, out: str, command: str, as_json: bool) -> None:
+    """Write `machine` to `out` as a .rvc document, then report what was written."""
+    with open(out, "w", newline="\n") as fh:
+        fh.write(serialize(machine))
+    width, gates, garbage = machine.width, len(machine.circuit), machine.iface.garbage_width
+    report = {"command": command, "path": out, "width": width, "gates": gates, "garbage_lines": garbage}
+    _emit(report, as_json, [f"wrote {out}: width {width}, {gates} gates, {garbage} garbage line(s)"])
 
 
 @cli.command()
@@ -266,9 +256,7 @@ def _report_written(machine: Machine, out: str, command: str, as_json: bool) -> 
 @click.option("--json", "as_json", is_flag=True)
 def inverse(path: str, out: str, as_json: bool) -> None:
     """Write the machine that runs the given one backward."""
-    machine = inverse_machine(_load(path))
-    _save(machine, out)
-    _report_written(machine, out, "inverse", as_json)
+    _write(inverse_machine(_load(path)), out, "inverse", as_json)
 
 
 @cli.command(name="bennett")
@@ -277,9 +265,7 @@ def inverse(path: str, out: str, as_json: bool) -> None:
 @click.option("--json", "as_json", is_flag=True)
 def bennett_cmd(path: str, out: str, as_json: bool) -> None:
     """Apply the compute-copy-uncompute transform and write the result."""
-    machine = bennett(_load(path))
-    _save(machine, out)
-    _report_written(machine, out, "bennett", as_json)
+    _write(bennett(_load(path)), out, "bennett", as_json)
 
 
 @cli.command(name="zg-compose")
@@ -289,9 +275,7 @@ def bennett_cmd(path: str, out: str, as_json: bool) -> None:
 @click.option("--json", "as_json", is_flag=True)
 def zg_compose(fwd_path: str, inv_path: str, out: str, as_json: bool) -> None:
     """Compose machines for f and its inverse into a garbage-free machine for f."""
-    machine = zero_garbage_compose(_load(fwd_path), _load(inv_path))
-    _save(machine, out)
-    _report_written(machine, out, "zg-compose", as_json)
+    _write(zero_garbage_compose(_load(fwd_path), _load(inv_path)), out, "zg-compose", as_json)
 
 
 @cli.command()
@@ -311,9 +295,9 @@ def profile(path: str, as_json: bool) -> None:
             f"conformance: FAIL (input {exc.input_value}: {conf.clauses[-1].detail})",
         ])
         raise
-    conf = ConformanceReport.from_outcome(machine, prof.machine_id, None)
     report, human = {}, []
     if as_json:  # each output mode builds only its own report
+        conf = ConformanceReport.from_outcome(machine, prof.machine_id, None)
         report = {"command": "profile", **_profile_section(prof, ""), "conformance": conf.as_dict()}
     else:
         k = prof.garbage_bits
@@ -323,7 +307,7 @@ def profile(path: str, as_json: bool) -> None:
             f"reachable configurations: {prof.config_count}",
         ]
         human += [f"  {_int_to_bits(cfg, k) or '(empty)'}" for cfg in prof.configs]
-        human.append(f"conformance: {'pass' if conf.passed else 'FAIL'}")
+        human.append("conformance: pass")  # an enumeration that finished broke no clause
     _emit(report, as_json, human)
 
 
@@ -378,7 +362,7 @@ def invert(
 
     if max_trials is not None and max_trials < 1:
         raise click.UsageError("--max-trials must be at least 1")
-    _check_decimal(iface, *(("input", "output", "garbage") if as_json else ("input",)))
+    _check_decimal(iface, *(("input", "output", "garbage") if as_json else ("input", "output")))
     k = iface.garbage_width
     report: dict = {"command": "invert", "output_value": y}
     human: list[str] = []
@@ -424,9 +408,7 @@ def gen(kind: str, n: int, out: str, as_json: bool) -> None:
         "decr": library.decrementer,
         "add": library.ripple_adder,
     }
-    machine = constructors[kind](n)
-    _save(machine, out)
-    _report_written(machine, out, "gen", as_json)
+    _write(constructors[kind](n), out, "gen", as_json)
 
 
 # Domain errors and their documented exit codes; no class here subclasses another.

@@ -1,13 +1,15 @@
 """Garbage profiling, conformance reporting, and growth classification."""
 from __future__ import annotations
 
+import hashlib
 import json
+import sys
 import tracemalloc
 from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from revcirc import (
@@ -134,6 +136,30 @@ class TestGarbageProfile:
                 call()
         # the bound is on the configurations, not the region: a wide region of small values digests
         assert GarbageProfile("m", 1, 15000, (0, 1)).digest() == "b8499e97b3e447e0"
+
+    def test_digest_refuses_by_the_digit_limit_in_force(self):
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            assert GarbageProfile("m", 1, 2126, ((1 << 2126) - 1,)).digest()
+            with pytest.raises(ExhaustiveBoundError, match="has 2127 bits; .* beyond 2126$"):
+                GarbageProfile("m", 1, 2127, ((1 << 2127) - 1,)).digest()
+        finally:
+            sys.set_int_max_str_digits(previous)
+
+    @given(
+        st.integers(0, 40),
+        st.sets(st.integers(0, 1 << 64) | st.integers(0, (1 << 300) - 1), max_size=40).map(sorted),
+        st.booleans(),
+    )
+    @example(0, [], False)
+    @example(3, [], True)
+    def test_digest_matches_the_joined_str_formula(self, garbage_bits, configs, as_list):
+        # The digest as first written, with a generator of `str()` calls; a list of configs digests the same.
+        body = f"{garbage_bits}:" + ",".join(str(c) for c in configs)
+        expected = hashlib.sha256(body.encode()).hexdigest()[:16]
+        profile = GarbageProfile("m", 1, garbage_bits, configs if as_list else tuple(configs))
+        assert profile.digest() == expected
 
     def test_label_overrides_hash(self):
         assert garbage_profile(incrementer(3), label="inc3").machine_id == "inc3"

@@ -35,7 +35,7 @@ from revcirc import (
     serialize,
     truth_table,
 )
-from revcirc.analysis import machine_id
+from revcirc.analysis import _DECIMAL_BITS, _LEAST_DECIMAL_BITS, _decimal_bits, machine_id
 from revcirc.cli import _ROW, _Json, _dumps, _int_to_bits, _interleave, _repeated, main
 
 from conftest import machines, small_machine_roster
@@ -328,6 +328,30 @@ class TestExitCodes:
         bad = tmp_path / "bad.rvc"
         bad.write_text("width 2\ninput 0\noutput 0 1\n")
         assert main(["sim", "-c", str(bad), "--int", "0"]) == 2
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["sim", "-x", "01"], "expected 3 characters of 0/1 for the input region, got '01'"),
+            (["sim", "-x", "0a1"], "expected 3 characters of 0/1 for the input region, got '0a1'"),
+            (["sim", "-x", "01010", "--backward"], "expected 4 characters of 0/1 for the final state, got '01010'"),
+            (["sim", "-x", "01 1", "--backward"], "expected 4 characters of 0/1 for the final state, got '01 1'"),
+            (["sim", "--int", "8"], "input value 8 does not fit 3 bits"),
+            (["sim", "--int", "-1"], "input value -1 does not fit 3 bits"),
+            (["invert", "-y", "0101"], "expected 3 characters of 0/1 for the output region, got '0101'"),
+            (["invert", "-y", "012"], "expected 3 characters of 0/1 for the output region, got '012'"),
+            (["invert"], "give exactly one of -y or --int"),
+            (["invert", "-y", "010", "--int", "2"], "give exactly one of -y or --int"),
+            (["invert", "--int", "2", "--max-trials", "0"], "--max-trials must be at least 1"),
+            (["invert", "--int", "2", "--blind", "--max-trials", "0"], "--max-trials must be at least 1"),
+        ],
+    )
+    def test_refused_arguments(self, capsys, incr3, args, message):
+        assert main([args[0], "-c", str(incr3), *args[1:]]) == 1
+        assert capsys.readouterr() == (
+            "",
+            f"Usage: revcirc {args[0]} [OPTIONS]\nTry 'revcirc {args[0]} --help' for help.\n\nError: {message}\n",
+        )
 
     def test_missing_file_is_usage_error(self, capsys):
         assert main(["sim", "-c", "/nonexistent.rvc", "--int", "0"]) == 1
@@ -781,9 +805,9 @@ class TestDecimalWidthRefusal:
 
     def test_bound_is_the_widest_region_str_writes(self):
         assert sys.get_int_max_str_digits() == 4300  # Python's default
-        assert len(str((1 << cli._DECIMAL_BITS) - 1)) == 4300
+        assert len(str((1 << _DECIMAL_BITS) - 1)) == 4300
         with pytest.raises(ValueError):
-            str((1 << cli._DECIMAL_BITS + 1) - 1)
+            str((1 << _DECIMAL_BITS + 1) - 1)
 
     # The 188 KB document of 15,000 garbage lines: each command's exit code, and what a refusal says.
     REFUSED = "error: garbage region has 15000 bits; refusing to write its values in decimal beyond 14284\n"
@@ -824,8 +848,57 @@ class TestDecimalWidthRefusal:
                     assert run_captured([args[0], "-c", str(path), *args[1:]]) == (4, ""), args
         assert no_gates.call_count == 0
 
+    @pytest.mark.parametrize("flags", [[], ["--blind"], ["--json"], ["--blind", "--json"]])
+    def test_invert_refuses_an_output_region_too_wide_for_its_messages(self, tmp_path, flags):
+        # No garbage, and every line an output: the failure messages would write y = 2^15000 in decimal.
+        path = tmp_path / "wide_output.rvc"
+        path.write_text(f"width 15001\ninput 0\npreset {' '.join(f'{l}=0' for l in range(1, 15001))}\noutput {' '.join(map(str, range(15001)))}\n")
+        no_gates = mock.Mock(side_effect=AssertionError("a gate ran"))
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.object(revcirc.sim, "_apply_gates", no_gates), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert main(["invert", "-c", str(path), "-y", "0" * 15000 + "1", *flags]) == 4
+        assert (out.getvalue(), err.getvalue()) == (
+            "", "error: output region has 15001 bits; refusing to write its values in decimal beyond 14284\n"
+        )
+
+    @pytest.mark.parametrize("limit", [0, 640, 641, 1000, 4299, 4300, 5000])
+    def test_a_lower_digit_limit_lowers_the_bound(self, limit):
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
+        try:
+            bound = _decimal_bits()
+            assert bound == (min(14284, (10**limit).bit_length() - 1) if 0 < limit < 4300 else 14284)
+            assert bound >= _LEAST_DECIMAL_BITS
+            str((1 << bound) - 1)  # the widest value writes; one bit more does not, up to the default limit
+            if 0 < limit <= 4300:
+                with pytest.raises(ValueError):
+                    str((1 << bound + 1) - 1)
+        finally:
+            sys.set_int_max_str_digits(previous)
+
+    def test_sim_json_refuses_under_a_lower_digit_limit(self, tmp_path):
+        # `sim` formats its human lines even for --json, so the input region is refused at 2,127 bits under 640 digits.
+        path = tmp_path / "incr3000.rvc"
+        assert run_captured(["gen", "incr", "--bits", "3000", "-o", str(path)])[0] == 0
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            assert _decimal_bits() == 2126
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                assert main(["sim", "-c", str(path), "-x", "1" * 3000, "--json"]) == 4
+            assert (out.getvalue(), err.getvalue()) == (
+                "", "error: input region has 3000 bits; refusing to write its values in decimal beyond 2126\n"
+            )
+            for garbage, code in ((2126, 0), (2127, 4)):
+                wide = tmp_path / f"g{garbage}.rvc"
+                wide.write_text(preset_garbage_document(garbage))
+                assert run_captured(["sim", "-c", str(wide), "--int", "1", "--json"])[0] == code, garbage
+        finally:
+            sys.set_int_max_str_digits(previous)
+
     def test_refusal_starts_one_bit_past_the_bound(self, tmp_path):
-        for garbage, code in ((cli._DECIMAL_BITS, 0), (cli._DECIMAL_BITS + 1, 4)):
+        for garbage, code in ((_DECIMAL_BITS, 0), (_DECIMAL_BITS + 1, 4)):
             path = tmp_path / f"g{garbage}.rvc"
             path.write_text(preset_garbage_document(garbage))
             got, out = run_captured(["sim", "-c", str(path), "--int", "1", "--json"])

@@ -194,6 +194,12 @@ class TestInvertWithProfile:
         with pytest.raises(InvalidCircuitError, match="configuration -1 does not fit"):
             invert_with_profile(m, 0, p)
 
+    def test_empty_configuration_set_rejected(self):
+        m = incrementer(4)
+        p = dataclasses.replace(garbage_profile(m), configs=())
+        with pytest.raises(InvalidCircuitError, match="^profile has no garbage configurations$"):
+            invert_with_profile(m, 0, p)
+
     def test_non_injective_machine_flagged(self):
         iface = InterfaceSpec(
             width=2, input_lines=(0, 1), output_lines=(0,), garbage_lines=(1,)
@@ -231,6 +237,11 @@ class TestInvertBlind:
             assert r.trials == 1  # lucky first guess
         else:
             pytest.fail("50 seeds in a row guessed a 1-in-4 config first try")
+
+    @pytest.mark.parametrize("max_trials", [0, -1])
+    def test_budget_below_one_rejected(self, max_trials):
+        with pytest.raises(ValueError, match="^max_trials must be at least 1$"):
+            invert_blind(incrementer(4), 0, seed=0, max_trials=max_trials)
 
     @pytest.mark.parametrize("n,k", [(3, 1), (6, 4), (8, 6)])
     def test_mean_trials_tracks_two_to_the_k(self, n, k):

@@ -1,0 +1,29 @@
+"""Replay the CLI transcript corpus through `cli.main`: every exit code, stdout, stderr and written file.
+
+`transcripts/make_corpus.py` wrote the corpus and says how to regenerate it after an intended change.
+"""
+from __future__ import annotations
+
+import json
+
+from revcirc import cli
+from transcripts import make_corpus
+
+CORPUS = json.loads(make_corpus.CORPUS.read_text())
+
+
+def _shown(argv: list[str]) -> str:
+    return " ".join(arg if len(arg) <= 40 else f"{arg[:8]}...({len(arg)} chars)" for arg in argv)
+
+
+def test_every_record_replays_byte_for_byte(tmp_path):
+    with make_corpus.session(tmp_path):
+        differing = [_shown(want["argv"]) for want in CORPUS if make_corpus.record(want["argv"]) != want]
+    assert differing == []
+
+
+def test_the_corpus_covers_every_command_both_ways_and_every_exit_code():
+    assert {record["exit"] for record in CORPUS} == {0, 1, 2, 3, 4}
+    passed = {(record["argv"][0], "--json" in record["argv"]) for record in CORPUS if record["exit"] == 0}
+    assert passed >= {(command, as_json) for command in cli.cli.commands for as_json in (False, True)}
+    assert {record["argv"][0] for record in CORPUS if record["argv"][1:] == ["--help"]} == set(cli.cli.commands)

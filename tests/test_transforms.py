@@ -1,6 +1,8 @@
 """The compute-copy-uncompute transform and the garbage-free composition."""
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from unittest import mock
 
@@ -132,6 +134,15 @@ class TestZeroGarbageCompose:
     def test_width_incompatible_rejected(self):
         with pytest.raises(InvalidCircuitError, match="width-compatible"):
             zero_garbage_compose(incrementer(3), decrementer(4))
+
+    def test_inverse_writing_its_output_elsewhere_rejected(self):
+        # decrementer(3) with its output read from its input lines in reverse order
+        dec = decrementer(3)
+        swapped = Machine(dec.circuit, dataclasses.replace(dec.iface, output_lines=dec.iface.output_lines[::-1]))
+        with pytest.raises(
+            InvalidCircuitError, match=r"^inverse machine must produce its output on its own input lines, in order$"
+        ):
+            zero_garbage_compose(incrementer(3), swapped)
 
     def test_gate_count_bound(self):
         mf, mg = incrementer(4), decrementer(4)
