@@ -37,8 +37,6 @@ _MAX_SPLIT_CONFIGS = 512
 # The most bits of a value `str()` writes within Python's default limit of
 # 4,300 digits: 2^14284 - 1 has 4,300 digits, 2^14285 - 1 has 4,301.
 _DECIMAL_BITS = 14284
-# The fewest bits `_decimal_bits` returns: at 640 digits, the lowest limit Python accepts but 0.
-_LEAST_DECIMAL_BITS = 2126
 
 
 def _decimal_bits() -> int:

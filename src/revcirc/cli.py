@@ -11,6 +11,13 @@ Exit codes: 0 success, 1 usage error, 2 invalid circuit or document,
 3 inversion failure, 4 exhaustive bound exceeded (or a region too wide for a
 report to write its values in decimal).
 
+The options several commands share (`-c/--circuit`, `-o/--output`, `--json`)
+are each declared once. A command refuses every option it can judge without
+the document (`-x`/`-y` against `--int`, `--backward` with `--int`,
+`--max-trials` below 1) before it reads the document, so such a usage error
+costs no parse and wins over an invalid document. `_region_value` then reads
+the `-x`/`-y` bits or the `--int` value against the region's width.
+
 `main` runs each command with the cyclic garbage collector paused and
 restores its previous state on every exit: reference counting frees all a
 command builds but the few dozen small objects of the cycle that `json`'s
@@ -28,7 +35,7 @@ import click
 
 from . import library
 from .analysis import ConformanceReport, GarbageProfile, garbage_profile, growth_report, machine_id
-from .analysis import _LEAST_DECIMAL_BITS, _decimal_bits
+from .analysis import _decimal_bits
 from .fileformat import parse_circuit, serialize
 from .invert import InversionError, invert_blind, invert_with_profile
 from .ir import InterfaceSpec, InvalidCircuitError, Machine, inverse_machine
@@ -52,12 +59,15 @@ def _load(path: str) -> Machine:
     return parse_circuit(text)
 
 
-def _bits_to_int(bits: str, what: str, expected_len: int) -> int:
-    if len(bits) != expected_len or any(ch not in "01" for ch in bits):
-        raise click.UsageError(
-            f"expected {expected_len} characters of 0/1 for the {what}, got {bits!r}"
-        )
-    return int(bits[::-1] or "0", 2)  # base 2 has no digit limit
+def _region_value(bits: str | None, value: int | None, what: str, width: int) -> int:
+    """The value of the `width`-bit `what` given as `-x`/`-y` bits or, where `bits` is None, as `--int`."""
+    if bits is not None:
+        if len(bits) != width or bits.strip("01"):
+            raise click.UsageError(f"expected {width} characters of 0/1 for the {what}, got {bits!r}")
+        return int(bits[::-1] or "0", 2)  # base 2 has no digit limit
+    if not 0 <= value < (1 << width):
+        raise click.UsageError(f"{what.split()[0]} value {value} does not fit {width} bits")
+    return value
 
 
 def _int_to_bits(value: int, width: int) -> str:
@@ -87,7 +97,7 @@ def _check_decimal(iface: InterfaceSpec, *regions: str) -> None:
     """Refuse, before any run, a report writing values of a region too wide for `str()` in decimal."""
     for region in regions:
         bits = getattr(iface, f"{region}_width")
-        if bits > _LEAST_DECIMAL_BITS and bits > (bound := _decimal_bits()):  # narrower regions read no limit
+        if bits > (bound := _decimal_bits()):
             raise ExhaustiveBoundError(
                 f"{region} region has {bits} bits; refusing to write its values in decimal beyond {bound}"
             )
@@ -147,23 +157,29 @@ def cli() -> None:
     """Reversible-logic circuit toolkit."""
 
 
+# The options several commands share, each declared once.
+_circuit_option = click.option("-c", "--circuit", "path", required=True, type=click.Path(exists=True, dir_okay=False))
+_output_option = click.option("-o", "--output", "out", required=True, type=click.Path(dir_okay=False))
+_json_option = click.option("--json", "as_json", is_flag=True)
+
+
 @cli.command()
-@click.option("-c", "--circuit", "path", required=True, type=click.Path(exists=True, dir_okay=False))
+@_circuit_option
 @click.option("-x", "bits", default=None, help="Region bits (input region forward, full state backward).")
 @click.option("--int", "value", type=int, default=None, help="Input region value (forward only).")
 @click.option("--backward", is_flag=True, help="Run the gate list in reverse from a full state.")
-@click.option("--json", "as_json", is_flag=True)
+@_json_option
 def sim(path: str, bits: str | None, value: int | None, backward: bool, as_json: bool) -> None:
     """Simulate a machine on one input."""
-    machine = _load(path)
-    iface = machine.iface
     if (bits is None) == (value is None):
         raise click.UsageError("give exactly one of -x or --int")
+    if backward and value is not None:
+        raise click.UsageError("--backward needs the full final state via -x, not --int")
+    machine = _load(path)
+    iface = machine.iface
 
     if backward:
-        if value is not None:
-            raise click.UsageError("--backward needs the full final state via -x, not --int")
-        lines = _lane(_bits_to_int(bits, "final state", iface.width), iface.width)
+        lines = _lane(_region_value(bits, value, "final state", iface.width), iface.width)
         _check_decimal(iface, "input")
         _apply_gates(lines, reversed(machine.circuit.gates), 1)  # from the whole given state
         start = "".join(map(str, lines))
@@ -185,9 +201,7 @@ def sim(path: str, bits: str | None, value: int | None, backward: bool, as_json:
         _emit(report, as_json, human)
         return
 
-    x = value if value is not None else _bits_to_int(bits, "input region", iface.input_width)
-    if not 0 <= x < (1 << iface.input_width):
-        raise click.UsageError(f"input value {x} does not fit {iface.input_width} bits")
+    x = _region_value(bits, value, "input region", iface.input_width)
     _check_decimal(iface, *(("input", "output", "garbage") if as_json else ("input", "output")))
     lines = _run(machine, _lane(x, iface.input_width), 1)
     final = "".join(map(str, lines))
@@ -214,8 +228,8 @@ def sim(path: str, bits: str | None, value: int | None, backward: bool, as_json:
 
 
 @cli.command()
-@click.option("-c", "--circuit", "path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--json", "as_json", is_flag=True)
+@_circuit_option
+@_json_option
 def table(path: str, as_json: bool) -> None:
     """Print the machine's exhaustive truth table."""
     machine = _load(path)
@@ -251,18 +265,18 @@ def _write(machine: Machine, out: str, command: str, as_json: bool) -> None:
 
 
 @cli.command()
-@click.option("-c", "--circuit", "path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("-o", "--output", "out", required=True, type=click.Path(dir_okay=False))
-@click.option("--json", "as_json", is_flag=True)
+@_circuit_option
+@_output_option
+@_json_option
 def inverse(path: str, out: str, as_json: bool) -> None:
     """Write the machine that runs the given one backward."""
     _write(inverse_machine(_load(path)), out, "inverse", as_json)
 
 
 @cli.command(name="bennett")
-@click.option("-c", "--circuit", "path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("-o", "--output", "out", required=True, type=click.Path(dir_okay=False))
-@click.option("--json", "as_json", is_flag=True)
+@_circuit_option
+@_output_option
+@_json_option
 def bennett_cmd(path: str, out: str, as_json: bool) -> None:
     """Apply the compute-copy-uncompute transform and write the result."""
     _write(bennett(_load(path)), out, "bennett", as_json)
@@ -271,16 +285,16 @@ def bennett_cmd(path: str, out: str, as_json: bool) -> None:
 @cli.command(name="zg-compose")
 @click.option("--forward", "fwd_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--inverse", "inv_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("-o", "--output", "out", required=True, type=click.Path(dir_okay=False))
-@click.option("--json", "as_json", is_flag=True)
+@_output_option
+@_json_option
 def zg_compose(fwd_path: str, inv_path: str, out: str, as_json: bool) -> None:
     """Compose machines for f and its inverse into a garbage-free machine for f."""
     _write(zero_garbage_compose(_load(fwd_path), _load(inv_path)), out, "zg-compose", as_json)
 
 
 @cli.command()
-@click.option("-c", "--circuit", "path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--json", "as_json", is_flag=True)
+@_circuit_option
+@_json_option
 def profile(path: str, as_json: bool) -> None:
     """Enumerate the reachable garbage configurations."""
     machine = _load(path)
@@ -315,7 +329,7 @@ def profile(path: str, as_json: bool) -> None:
 @click.option("--family", type=click.Choice(["incr", "adder"]), required=True)
 @click.option("--from", "start", type=int, required=True)
 @click.option("--to", "stop", type=int, required=True)
-@click.option("--json", "as_json", is_flag=True)
+@_json_option
 def growth(family: str, start: int, stop: int, as_json: bool) -> None:
     """Profile a circuit family across sizes and classify the growth."""
     # Each family's constructor and its input bits per unit of size.
@@ -335,33 +349,24 @@ def growth(family: str, start: int, stop: int, as_json: bool) -> None:
 
 
 @cli.command()
-@click.option("-c", "--circuit", "path", required=True, type=click.Path(exists=True, dir_okay=False))
+@_circuit_option
 @click.option("-y", "bits", default=None, help="Output region bits.")
 @click.option("--int", "value", type=int, default=None, help="Output region value.")
 @click.option("--blind", is_flag=True, help="Guess garbage strings at random instead of using the profile.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--max-trials", type=int, default=None)
-@click.option("--json", "as_json", is_flag=True)
+@_json_option
 def invert(
-    path: str,
-    bits: str | None,
-    value: int | None,
-    blind: bool,
-    seed: int,
-    max_trials: int | None,
-    as_json: bool,
+    path: str, bits: str | None, value: int | None, blind: bool, seed: int, max_trials: int | None, as_json: bool
 ) -> None:
     """Recover the input that produced an output value."""
-    machine = _load(path)
-    iface = machine.iface
     if (bits is None) == (value is None):
         raise click.UsageError("give exactly one of -y or --int")
-    y = value if value is not None else _bits_to_int(bits, "output region", iface.output_width)
-    if not 0 <= y < (1 << iface.output_width):
-        raise click.UsageError(f"output value {y} does not fit {iface.output_width} bits")
-
     if max_trials is not None and max_trials < 1:
         raise click.UsageError("--max-trials must be at least 1")
+    machine = _load(path)
+    iface = machine.iface
+    y = _region_value(bits, value, "output region", iface.output_width)
     _check_decimal(iface, *(("input", "output", "garbage") if as_json else ("input", "output")))
     k = iface.garbage_width
     report: dict = {"command": "invert", "output_value": y}
@@ -399,8 +404,8 @@ def invert(
 @cli.command()
 @click.argument("kind", type=click.Choice(["incr", "decr", "add"]))
 @click.option("--bits", "n", type=int, required=True)
-@click.option("-o", "--output", "out", required=True, type=click.Path(dir_okay=False))
-@click.option("--json", "as_json", is_flag=True)
+@_output_option
+@_json_option
 def gen(kind: str, n: int, out: str, as_json: bool) -> None:
     """Write a library machine: incr, decr, or add on N bits."""
     constructors = {

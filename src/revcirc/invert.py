@@ -34,7 +34,7 @@ from .ir import InvalidCircuitError, Machine
 from . import sim
 from .sim import EXHAUSTIVE_BOUND, ExhaustiveBoundError
 from .sim import _held, _lane, _lane_value, _region_columns, _run
-from .analysis import GarbageProfile
+from .analysis import GarbageProfile, _decimal_bits
 
 
 class InversionError(Exception):
@@ -79,10 +79,15 @@ class InversionResult:
         }
 
 
+def _named(value: int) -> str:
+    """`value` in decimal where `str()` can write it, or else by its bit length."""
+    return str(value) if value.bit_length() <= _decimal_bits() else f"of {value.bit_length()} bits"
+
+
 def _check_output(machine: Machine, y: int) -> None:
     width = machine.iface.output_width
     if not 0 <= y < (1 << width):
-        raise InvalidCircuitError(f"output value {y} does not fit the {width}-bit output region")
+        raise InvalidCircuitError(f"output value {_named(y)} does not fit the {width}-bit output region")
 
 
 def _fits(machine: Machine, y: int, garbage_columns: list[int], full: int) -> int:
@@ -155,11 +160,11 @@ def invert_with_profile(machine: Machine, y: int, profile: GarbageProfile) -> In
         return InversionResult(input_value, hit + 1, "table", configs[hit], profile.per_output is not None)
     if in_range < len(configs):
         raise InvalidCircuitError(
-            f"profile configuration {configs[in_range]} does not fit the "
+            f"profile configuration {_named(configs[in_range])} does not fit the "
             f"{iface.garbage_width}-bit garbage region"
         )
     raise NoMatchingConfigError(
-        f"no garbage configuration matches output {y}: it is not in the machine's image"
+        f"no garbage configuration matches output {_named(y)}: it is not in the machine's image"
     )
 
 
@@ -207,7 +212,7 @@ def invert_blind(
                 unique = fit is not None and fit.count("1") == 1
                 return InversionResult(input_value, done + hit + 1, "blind", draws[hit], unique)
     raise TrialBudgetExceededError(
-        f"no consistent garbage string found for output {y} in {max_trials} trials "
+        f"no consistent garbage string found for output {_named(y)} in {max_trials} trials "
         f"(k={k} garbage bits; expected cost grows as 2^k)",
         trials=max_trials,
     )

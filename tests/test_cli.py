@@ -35,7 +35,7 @@ from revcirc import (
     serialize,
     truth_table,
 )
-from revcirc.analysis import _DECIMAL_BITS, _LEAST_DECIMAL_BITS, _decimal_bits, machine_id
+from revcirc.analysis import _DECIMAL_BITS, _decimal_bits, machine_id
 from revcirc.cli import _ROW, _Json, _dumps, _int_to_bits, _interleave, _repeated, main
 
 from conftest import machines, small_machine_roster
@@ -868,7 +868,6 @@ class TestDecimalWidthRefusal:
         try:
             bound = _decimal_bits()
             assert bound == (min(14284, (10**limit).bit_length() - 1) if 0 < limit < 4300 else 14284)
-            assert bound >= _LEAST_DECIMAL_BITS
             str((1 << bound) - 1)  # the widest value writes; one bit more does not, up to the default limit
             if 0 < limit <= 4300:
                 with pytest.raises(ValueError):

@@ -243,6 +243,59 @@ class TestInvertBlind:
         with pytest.raises(ValueError, match="^max_trials must be at least 1$"):
             invert_blind(incrementer(4), 0, seed=0, max_trials=max_trials)
 
+
+class TestOutputTooWideForDecimal:
+    """An inversion refusal names `y` in decimal where `str()` writes it, and by its bit length past that."""
+
+    NARROW = (1 << 14284) - 1  # the widest value `str()` writes at the default digit limit
+
+    @pytest.fixture(scope="class")
+    def wide(self):
+        # 15,001 output lines, 15,000 of them preset to 0, and no garbage: y is in the image only when y < 2
+        iface = InterfaceSpec(
+            width=15001,
+            input_lines=(0,),
+            preset_lines=tuple((line, 0) for line in range(1, 15001)),
+            output_lines=tuple(range(15001)),
+        )
+        m = Machine(Circuit(15001), iface)
+        return m, garbage_profile(m)
+
+    def test_no_matching_config(self, wide):
+        m, p = wide
+        for y, named in ((1 << 15000, "of 15001 bits"), (self.NARROW, str(self.NARROW))):
+            with pytest.raises(NoMatchingConfigError) as info:
+                invert_with_profile(m, y, p)
+            assert str(info.value) == f"no garbage configuration matches output {named}: it is not in the machine's image"
+
+    def test_trial_budget_exceeded(self, wide):
+        m, _ = wide
+        for y, named in ((1 << 15000, "of 15001 bits"), (self.NARROW, str(self.NARROW))):
+            with pytest.raises(TrialBudgetExceededError) as info:
+                invert_blind(m, y, seed=0)
+            assert str(info.value) == (
+                f"no consistent garbage string found for output {named} in 64 trials "
+                "(k=0 garbage bits; expected cost grows as 2^k)"
+            )
+
+    def test_output_that_does_not_fit(self, wide):
+        m, p = wide
+        refused = "^output value of 15002 bits does not fit the 15001-bit output region$"
+        with pytest.raises(InvalidCircuitError, match=refused):
+            invert_blind(m, 1 << 15001, seed=0)
+        with pytest.raises(InvalidCircuitError, match=refused):
+            invert_with_profile(m, 1 << 15001, p)
+        with pytest.raises(InvalidCircuitError, match="^output value 8 does not fit the 3-bit output region$"):
+            invert_with_profile(incrementer(3), 8, garbage_profile(incrementer(3)))
+
+    def test_profile_configuration_that_does_not_fit(self):
+        m = incrementer(4)
+        for config, named in ((1 << 15000, "of 15001 bits"), (self.NARROW, str(self.NARROW))):
+            p = dataclasses.replace(garbage_profile(m), configs=(config,))
+            with pytest.raises(InvalidCircuitError) as info:
+                invert_with_profile(m, 0, p)
+            assert str(info.value) == f"profile configuration {named} does not fit the 2-bit garbage region"
+
     @pytest.mark.parametrize("n,k", [(3, 1), (6, 4), (8, 6)])
     def test_mean_trials_tracks_two_to_the_k(self, n, k):
         m = incrementer(n)

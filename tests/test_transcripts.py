@@ -5,6 +5,7 @@
 from __future__ import annotations
 
 import json
+from unittest import mock
 
 from revcirc import cli
 from transcripts import make_corpus
@@ -20,6 +21,24 @@ def test_every_record_replays_byte_for_byte(tmp_path):
     with make_corpus.session(tmp_path):
         differing = [_shown(want["argv"]) for want in CORPUS if make_corpus.record(want["argv"]) != want]
     assert differing == []
+
+
+# The usage errors `sim` and `invert` raise from their options alone, before they read the document.
+OPTION_ERRORS = ("give exactly one of", "--backward needs", "--max-trials must")
+
+
+def test_option_refusals_are_made_before_the_document_is_read(tmp_path):
+    refusals = [
+        want for want in CORPUS
+        if want["argv"][:1] in (["sim"], ["invert"]) and any(error in want["stderr"] for error in OPTION_ERRORS)
+    ]
+    assert len(refusals) == 16 and {want["exit"] for want in refusals} == {1}
+    for want in refusals:  # earlier corpus commands write some of these documents; an empty stand-in is never read
+        (tmp_path / want["argv"][2]).touch()
+    unread = mock.Mock(side_effect=AssertionError("the document was read"))
+    with make_corpus.session(tmp_path), mock.patch.object(cli, "_load", unread):
+        differing = [_shown(want["argv"]) for want in refusals if make_corpus.record(want["argv"]) != want]
+    assert differing == [] and unread.call_count == 0
 
 
 def test_the_corpus_covers_every_command_both_ways_and_every_exit_code():

@@ -179,6 +179,9 @@ def refusals():
             yield [command[0], "-c", "wide_garbage.rvc", *command[1:], *flags]
         for blind in ([], ["--blind"]):
             yield ["invert", "-c", "wide_output.rvc", "-y", "0" * 15000 + "1", *blind, *flags]
+    # an options error is refused before the document is read, so it wins over a bad document
+    yield ["sim", "-c", "bad_header.rvc"]
+    yield ["invert", "-c", "bad_header.rvc", "--int", "1", "--max-trials", "0"]
 
 
 def record(argv: list[str]) -> dict:
