@@ -12,11 +12,15 @@ Exit codes: 0 success, 1 usage error, 2 invalid circuit or document,
 report to write its values in decimal).
 
 The options several commands share (`-c/--circuit`, `-o/--output`, `--json`)
-are each declared once. A command refuses every option it can judge without
-the document (`-x`/`-y` against `--int`, `--backward` with `--int`,
-`--max-trials` below 1) before it reads the document, so such a usage error
-costs no parse and wins over an invalid document. `_region_value` then reads
-the `-x`/`-y` bits or the `--int` value against the region's width.
+are each declared once, as are the type of an existing document, which
+`-c/--circuit`, `--forward` and `--inverse` read, and `_FAMILIES`, the table
+of library families that `gen` writes and `growth` profiles. A command
+refuses every option it can judge without the document (`-x`/`-y` against
+`--int`, `--backward` with `--int`, `--max-trials` below 1) before it reads
+the document, so such a usage error costs no parse and wins over an invalid
+document. `_region_value` then reads the `-x`/`-y` bits or the `--int` value
+against the region's width. Every command writes its one report through
+`_emit`.
 
 `main` runs each command with the cyclic garbage collector paused and
 restores its previous state on every exit: reference counting frees all a
@@ -103,18 +107,18 @@ def _check_decimal(iface: InterfaceSpec, *regions: str) -> None:
             )
 
 
-def _interleave(*columns) -> list:
-    """The columns' items in turn, `a[0], b[0], a[1], b[1], ...`; the first column gives the length."""
-    flat = [0] * (len(columns) * len(columns[0]))
-    for i, column in enumerate(columns):
-        flat[i :: len(columns)] = column
-    return flat
+def _repeated(item: str, pad: str, brackets: str, *columns) -> _Json:
+    """The `%` template `item` once per row of `columns`, as a container at indent `pad`.
 
-
-def _repeated(item: str, fields, count: int, pad: str, brackets: str) -> _Json:
-    """`count` copies of the `%` template `item`, filled by one `%` over `fields`, as a container at indent `pad`."""
+    One `%` fills the copies with the columns' items in turn, `a[0], b[0], a[1], b[1], ...`; the first
+    column gives the row count.
+    """
+    count = len(columns[0])
     if not count:
         return _Json(brackets)
+    fields = [0] * (len(columns) * count)
+    for i, column in enumerate(columns):
+        fields[i :: len(columns)] = column
     inner = pad + "  "
     body = f",\n{inner}".join([item] * count) % tuple(fields)
     return _Json(f"{brackets[0]}\n{inner}{body}\n{pad}{brackets[1]}")
@@ -140,11 +144,10 @@ def _dumps(report: dict) -> str:
 def _profile_section(prof: GarbageProfile, pad: str) -> dict:
     """`prof.as_dict()` as a report section at indent `pad`, its configs and per_output map written as `_Json`."""
     section = prof._summary()
-    section["configs"] = _repeated("%d", prof.configs, prof.config_count, pad + "  ", "[]")
+    section["configs"] = _repeated("%d", pad + "  ", "[]", prof.configs)
     if prof.per_output is not None:
-        outputs = sorted(prof.per_output)
-        pairs = _interleave(outputs, map(prof.per_output.__getitem__, outputs))
-        section["per_output"] = _repeated('"%d": %d', pairs, len(outputs), pad + "  ", "{}")
+        ys = sorted(prof.per_output)
+        section["per_output"] = _repeated('"%d": %d', pad + "  ", "{}", ys, map(prof.per_output.__getitem__, ys))
     return section
 
 
@@ -157,10 +160,15 @@ def cli() -> None:
     """Reversible-logic circuit toolkit."""
 
 
-# The options several commands share, each declared once.
-_circuit_option = click.option("-c", "--circuit", "path", required=True, type=click.Path(exists=True, dir_okay=False))
+# The options several commands share, and the type of every document a command reads, each declared once.
+_document = click.Path(exists=True, dir_okay=False)
+_circuit_option = click.option("-c", "--circuit", "path", required=True, type=_document)
 _output_option = click.option("-o", "--output", "out", required=True, type=click.Path(dir_okay=False))
 _json_option = click.option("--json", "as_json", is_flag=True)
+
+# Each library family that `gen` writes or `growth` profiles: its constructor and its input bits per unit of size.
+_FAMILIES = {"incr": (library.incrementer, 1), "decr": (library.decrementer, 1)}
+_FAMILIES["add"] = _FAMILIES["adder"] = (library.ripple_adder, 2)
 
 
 @cli.command()
@@ -198,32 +206,30 @@ def sim(path: str, bits: str | None, value: int | None, backward: bool, as_json:
             f"input region: {input_value} (bits {_int_to_bits(input_value, iface.input_width)})",
             f"presets consistent: {'yes' if presets_ok else 'no'}",
         ]
-        _emit(report, as_json, human)
-        return
-
-    x = _region_value(bits, value, "input region", iface.input_width)
-    _check_decimal(iface, *(("input", "output", "garbage") if as_json else ("input", "output")))
-    lines = _run(machine, _lane(x, iface.input_width), 1)
-    final = "".join(map(str, lines))
-    out = _lane_value(lines, iface.output_lines)
-    garbage = _lane_value(lines, iface.garbage_lines)
-    report = {
-        "command": "sim",
-        "direction": "forward",
-        "input_value": x,
-        "input_bits": _int_to_bits(x, iface.input_width),
-        "final_state": final,
-        "output_value": out,
-        "output_bits": _int_to_bits(out, iface.output_width),
-        "garbage_value": garbage,
-        "garbage_bits": _int_to_bits(garbage, iface.garbage_width),
-    }
-    human = [
-        f"input: {x} (bits {report['input_bits']})",
-        f"output: {out} (bits {report['output_bits']})",
-        f"garbage: {report['garbage_bits'] or '(none)'}",
-        f"final state: {final}",
-    ]
+    else:
+        x = _region_value(bits, value, "input region", iface.input_width)
+        _check_decimal(iface, *(("input", "output", "garbage") if as_json else ("input", "output")))
+        lines = _run(machine, _lane(x, iface.input_width), 1)
+        final = "".join(map(str, lines))
+        out = _lane_value(lines, iface.output_lines)
+        garbage = _lane_value(lines, iface.garbage_lines)
+        report = {
+            "command": "sim",
+            "direction": "forward",
+            "input_value": x,
+            "input_bits": _int_to_bits(x, iface.input_width),
+            "final_state": final,
+            "output_value": out,
+            "output_bits": _int_to_bits(out, iface.output_width),
+            "garbage_value": garbage,
+            "garbage_bits": _int_to_bits(garbage, iface.garbage_width),
+        }
+        human = [
+            f"input: {x} (bits {report['input_bits']})",
+            f"output: {out} (bits {report['output_bits']})",
+            f"garbage: {report['garbage_bits'] or '(none)'}",
+            f"final state: {final}",
+        ]
     _emit(report, as_json, human)
 
 
@@ -236,7 +242,6 @@ def table(path: str, as_json: bool) -> None:
     _check_decimal(machine.iface, *(("output", "garbage") if as_json else ("output",)))
     t = truth_table(machine)
     injective = is_injective(t)
-    rows = enumerate(zip(t.outputs, t.garbage))
     report = {
         "command": "table",
         "input_bits": t.input_width,
@@ -245,11 +250,11 @@ def table(path: str, as_json: bool) -> None:
     }
     human = []
     if as_json:  # each output mode builds only its own 2^n rows; here straight from the columns
-        count = len(t.outputs)
-        report["rows"] = _repeated(_ROW, _interleave(range(count), t.outputs, t.garbage), count, "  ", "[]")
+        report["rows"] = _repeated(_ROW, "  ", "[]", range(len(t.outputs)), t.outputs, t.garbage)
     else:
         k = machine.iface.garbage_width
         human = [f"{'x':>6}  {'f(x)':>6}  garbage"]
+        rows = enumerate(zip(t.outputs, t.garbage))
         human += [f"{x:>6}  {out:>6}  {_int_to_bits(g, k) or '-'}" for x, (out, g) in rows]
         human.append(f"injective: {'yes' if injective else 'no'}")
     _emit(report, as_json, human)
@@ -283,8 +288,8 @@ def bennett_cmd(path: str, out: str, as_json: bool) -> None:
 
 
 @cli.command(name="zg-compose")
-@click.option("--forward", "fwd_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--inverse", "inv_path", required=True, type=click.Path(exists=True, dir_okay=False))
+@click.option("--forward", "fwd_path", required=True, type=_document)
+@click.option("--inverse", "inv_path", required=True, type=_document)
 @_output_option
 @_json_option
 def zg_compose(fwd_path: str, inv_path: str, out: str, as_json: bool) -> None:
@@ -332,11 +337,9 @@ def profile(path: str, as_json: bool) -> None:
 @_json_option
 def growth(family: str, start: int, stop: int, as_json: bool) -> None:
     """Profile a circuit family across sizes and classify the growth."""
-    # Each family's constructor and its input bits per unit of size.
-    constructors = {"incr": (library.incrementer, 1), "adder": (library.ripple_adder, 2)}
     if stop - start < 2:
         raise click.UsageError("need at least 3 sizes: --to must be at least --from + 2")
-    build, bits_per_n = constructors[family]
+    build, bits_per_n = _FAMILIES[family]
     # growth_report refuses the first size over the bound once it is built; a
     # --from already over it is refused here, with the same error, unbuilt.
     check_enumeration_bound(bits_per_n * start, EXHAUSTIVE_BOUND)
@@ -367,37 +370,34 @@ def invert(
     machine = _load(path)
     iface = machine.iface
     y = _region_value(bits, value, "output region", iface.output_width)
-    _check_decimal(iface, *(("input", "output", "garbage") if as_json else ("input", "output")))
+    # The human report writes no output value, and names a too-wide one by its bit length.
+    _check_decimal(iface, *(("input", "output", "garbage") if as_json else ("input",)))
     k = iface.garbage_width
-    report: dict = {"command": "invert", "output_value": y}
-    human: list[str] = []
+    details = {}  # what the method adds to the report
     if blind:
         result = invert_blind(machine, y, seed=seed, max_trials=max_trials)
-        report.update(result.as_dict())
-        report["seed"] = seed
-        human.append(f"method: blind (seed {seed}, {k} garbage bits)")
-        human.append(f"trials: {result.trials}")
+        details["seed"] = seed
+        human = [f"method: blind (seed {seed}, {k} garbage bits)", f"trials: {result.trials}"]
     else:
         prof = garbage_profile(machine)
         result = invert_with_profile(machine, y, prof)
-        report.update(result.as_dict())
         tried = prof.configs[: result.trials]
         if as_json:  # the human report names the trials, not the profile
-            report["attempts"] = [{"config": cfg, "accepted": i == len(tried)} for i, cfg in enumerate(tried, 1)]
-            report["profile"] = _profile_section(prof, "  ")
-        human.append(
+            details["attempts"] = [{"config": cfg, "accepted": i == len(tried)} for i, cfg in enumerate(tried, 1)]
+            details["profile"] = _profile_section(prof, "  ")
+        human = [
             f"method: table (profile built from {1 << prof.input_bits} forward runs, "
             f"{prof.config_count} configurations)"
-        )
-        for i, cfg in enumerate(tried, 1):
-            verdict = "accept" if i == len(tried) else "reject"
-            human.append(f"trial {i}: garbage {_int_to_bits(cfg, k) or '(empty)'} -> {verdict}")
+        ]
+        human += [
+            f"trial {i}: garbage {_int_to_bits(cfg, k) or '(empty)'} -> {'accept' if i == len(tried) else 'reject'}"
+            for i, cfg in enumerate(tried, 1)
+        ]
+    report = {"command": "invert", "output_value": y, **result.as_dict(), **details}
     report["matched_config_bits"] = _int_to_bits(result.matched_config, k)
     report["input_bits"] = _int_to_bits(result.input_value, iface.input_width)
-    human.append(
-        f"input: {result.input_value} (bits {report['input_bits']}), "
-        f"matched garbage {report['matched_config_bits'] or '(empty)'}"
-    )
+    matched = report["matched_config_bits"] or "(empty)"
+    human.append(f"input: {result.input_value} (bits {report['input_bits']}), matched garbage {matched}")
     _emit(report, as_json, human)
 
 
@@ -408,12 +408,7 @@ def invert(
 @_json_option
 def gen(kind: str, n: int, out: str, as_json: bool) -> None:
     """Write a library machine: incr, decr, or add on N bits."""
-    constructors = {
-        "incr": library.incrementer,
-        "decr": library.decrementer,
-        "add": library.ripple_adder,
-    }
-    _write(constructors[kind](n), out, "gen", as_json)
+    _write(_FAMILIES[kind][0](n), out, "gen", as_json)
 
 
 # Domain errors and their documented exit codes; no class here subclasses another.

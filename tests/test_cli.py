@@ -36,7 +36,7 @@ from revcirc import (
     truth_table,
 )
 from revcirc.analysis import _DECIMAL_BITS, _decimal_bits, machine_id
-from revcirc.cli import _ROW, _Json, _dumps, _int_to_bits, _interleave, _repeated, main
+from revcirc.cli import _FAMILIES, _ROW, _Json, _dumps, _int_to_bits, _repeated, main
 
 from conftest import machines, small_machine_roster
 
@@ -229,13 +229,28 @@ class TestProfileAndGrowth:
     def test_growth_from_over_the_bound_refused_unbuilt(self, capsys, family, start, bits):
         # the same line as when the first size is built and then refused, but no machine is built
         unbuilt = mock.Mock(side_effect=AssertionError("a family member was built"))
-        with mock.patch.object(revcirc.library, "ripple_adder", unbuilt), mock.patch.object(revcirc.library, "incrementer", unbuilt):
+        with mock.patch.dict(_FAMILIES, {name: (unbuilt, bits) for name, (_, bits) in _FAMILIES.items()}):
             assert main(["growth", "--family", family, "--from", start, "--to", str(int(start) + 2)]) == 4
         assert unbuilt.call_count == 0
         assert capsys.readouterr().err == (
             f"error: input region has {bits} bits; refusing exhaustive enumeration beyond 20"
             " (pass max_input_bits to override)\n"
         )
+
+    @pytest.mark.parametrize("name", sorted(_FAMILIES))
+    def test_family_table_bits_per_size(self, name):
+        build, bits_per_n = _FAMILIES[name]
+        assert [build(n).iface.input_width for n in range(2, 7)] == [bits_per_n * n for n in range(2, 7)]
+
+    def test_family_table_names_every_gen_kind_and_growth_family(self):
+        names = {
+            name
+            for command, option in [(cli.gen, "kind"), (cli.growth, "family")]
+            for param in command.params
+            if param.name == option
+            for name in param.type.choices
+        }
+        assert names == _FAMILIES.keys()  # and the table holds no family that no command names
 
     @pytest.mark.parametrize("family,start", [("incr", "0"), ("incr", "-3"), ("adder", "0")])
     def test_growth_from_below_the_family_is_invalid(self, capsys, family, start):
@@ -534,9 +549,9 @@ def with_sections(value, depth: int, draw):
     if depth and draw(st.booleans()):
         pad = "  " * depth
         if isinstance(value, list) and all(type(item) is int for item in value):
-            return _repeated("%d", value, len(value), pad, "[]")
+            return _repeated("%d", pad, "[]", value)
         if isinstance(value, dict) and all(type(k) is type(v) is int for k, v in value.items()):
-            return _repeated('"%d": %d', [f for pair in value.items() for f in pair], len(value), pad, "{}")
+            return _repeated('"%d": %d', pad, "{}", list(value), value.values())
         return _Json(json.dumps(value, indent=2).replace("\n", "\n" + pad))
     if isinstance(value, dict):
         return {key: with_sections(item, depth + 1, draw) for key, item in value.items()}
@@ -561,9 +576,9 @@ def test_dumps_bulk_sections_of_1024_rows(seed):
     report = {"per_output": per_output, "rows": rows, "configs": ints, 7: [True] + ints[:5]}
     assert _dumps(report) == json.dumps(report, indent=2)
     sections = {
-        "per_output": _repeated('"%d": %d', _interleave(list(per_output), per_output.values()), 1 << 10, "  ", "{}"),
-        "rows": _repeated(_ROW, _interleave(range(1 << 10), ints[:1024], ints[1024:2048]), 1 << 10, "  ", "[]"),
-        "configs": _repeated("%d", ints, len(ints), "  ", "[]"),
+        "per_output": _repeated('"%d": %d', "  ", "{}", list(per_output), per_output.values()),
+        "rows": _repeated(_ROW, "  ", "[]", range(1 << 10), ints[:1024], ints[1024:2048]),
+        "configs": _repeated("%d", "  ", "[]", ints),
         7: report[7],
     }
     assert _dumps(sections) == json.dumps(report, indent=2)
@@ -576,7 +591,7 @@ def test_dumps_bulk_sections_of_1024_rows(seed):
 def test_dumps_keeps_bools_off_the_int_paths(value):
     # json writes a bool as true/false, never 1/0, also beside a section of ints
     assert _dumps(value) == json.dumps(value, indent=2)
-    section = _repeated("%d", [1, 0], 2, "  ", "[]")
+    section = _repeated("%d", "  ", "[]", [1, 0])
     assert _dumps({"ints": section, "value": value}) == json.dumps({"ints": [1, 0], "value": value}, indent=2)
 
 
@@ -589,7 +604,7 @@ def test_dumps_writes_other_keys_as_json_does(value):
 def test_dumps_leaves_no_section_to_the_collector():
     # With `indent` set, `json`'s encoder forms a reference cycle holding `default`: a section it
     # held would stay alive, under `main`'s paused collector, beside the text written from it.
-    section = _repeated("%d", [1, 2], 2, "  ", "[]")
+    section = _repeated("%d", "  ", "[]", [1, 2])
     collecting = gc.isenabled()
     gc.disable()
     try:
@@ -848,18 +863,30 @@ class TestDecimalWidthRefusal:
                     assert run_captured([args[0], "-c", str(path), *args[1:]]) == (4, ""), args
         assert no_gates.call_count == 0
 
+    # The exit code and message of each form of `invert -y 0…01` on a document of no garbage whose 15,001 lines
+    # are all output: only --json writes y = 2^15000 in decimal; the human refusals name it by its bit length.
+    TOO_WIDE_Y = {
+        (): (3, "no garbage configuration matches output of 15001 bits: it is not in the machine's image"),
+        ("--blind",): (
+            3,
+            "no consistent garbage string found for output of 15001 bits in 64 trials"
+            " (k=0 garbage bits; expected cost grows as 2^k)",
+        ),
+        ("--json",): (4, "output region has 15001 bits; refusing to write its values in decimal beyond 14284"),
+        ("--blind", "--json"): (4, "output region has 15001 bits; refusing to write its values in decimal beyond 14284"),
+    }
+
     @pytest.mark.parametrize("flags", [[], ["--blind"], ["--json"], ["--blind", "--json"]])
     def test_invert_refuses_an_output_region_too_wide_for_its_messages(self, tmp_path, flags):
-        # No garbage, and every line an output: the failure messages would write y = 2^15000 in decimal.
         path = tmp_path / "wide_output.rvc"
         path.write_text(f"width 15001\ninput 0\npreset {' '.join(f'{l}=0' for l in range(1, 15001))}\noutput {' '.join(map(str, range(15001)))}\n")
+        code, message = self.TOO_WIDE_Y[tuple(flags)]
         no_gates = mock.Mock(side_effect=AssertionError("a gate ran"))
+        gates = mock.patch.object(revcirc.sim, "_apply_gates", no_gates) if code == 4 else contextlib.nullcontext()
         out, err = io.StringIO(), io.StringIO()
-        with mock.patch.object(revcirc.sim, "_apply_gates", no_gates), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            assert main(["invert", "-c", str(path), "-y", "0" * 15000 + "1", *flags]) == 4
-        assert (out.getvalue(), err.getvalue()) == (
-            "", "error: output region has 15001 bits; refusing to write its values in decimal beyond 14284\n"
-        )
+        with gates, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert main(["invert", "-c", str(path), "-y", "0" * 15000 + "1", *flags]) == code
+        assert (out.getvalue(), err.getvalue()) == ("", f"error: {message}\n")
 
     @pytest.mark.parametrize("limit", [0, 640, 641, 1000, 4299, 4300, 5000])
     def test_a_lower_digit_limit_lowers_the_bound(self, limit):
