@@ -25,6 +25,7 @@ from revcirc import (
     GarbageProfile,
     RestorationViolationError,
     cli,
+    decrementer,
     garbage_profile,
     incrementer,
     initial_state,
@@ -34,6 +35,7 @@ from revcirc import (
     run,
     serialize,
     truth_table,
+    zero_garbage_compose,
 )
 from revcirc.analysis import _DECIMAL_BITS, _decimal_bits, machine_id
 from revcirc.cli import _FAMILIES, _ROW, _Json, _dumps, _int_to_bits, _repeated, main
@@ -141,7 +143,11 @@ def test_sim_matches_run_reference(m, data):
     check_sim_against_reference(m, x, final_bits)
 
 
-@pytest.mark.parametrize("m", [incrementer(700), ripple_adder(40)], ids=["incr700", "adder40"])
+@pytest.mark.parametrize(
+    "m",
+    [incrementer(700), ripple_adder(40), zero_garbage_compose(incrementer(3000), decrementer(3000))],
+    ids=["incr700", "adder40", "zg3000"],
+)
 def test_sim_matches_run_reference_on_wide_machines(m):
     rng = random.Random(m.width)
     check_sim_against_reference(m, rng.getrandbits(m.iface.input_width), "".join(rng.choice("01") for _ in range(m.width)))
@@ -478,7 +484,7 @@ class TestCollectorPause:
 def test_module_entry_point_smoke(tmp_path):
     out = tmp_path / "m.rvc"
     src = str(Path(revcirc.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": src}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "revcirc", "gen", "incr", "--bits", "4", "-o", str(out)],
         capture_output=True,
@@ -495,6 +501,17 @@ def test_module_entry_point_smoke(tmp_path):
     )
     assert proc.returncode == 0
     assert "output: 10" in proc.stdout
+    # A refusal leaves through `entry`'s sys.exit with its documented code.
+    constant = tmp_path / "constant.rvc"
+    constant.write_text("width 1\npreset 0=0\noutput 0\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "revcirc", "invert", "-c", str(constant), "--int", "1"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == "error: no garbage configuration matches output 1: it is not in the machine's image\n"
 
 
 def old_int_to_bits(value: int, width: int) -> str:

@@ -20,6 +20,7 @@ from revcirc import (
     Machine,
     bennett,
     incrementer,
+    inverse_machine,
     make_gate,
     parse_circuit,
     ripple_adder,
@@ -519,12 +520,22 @@ class TestValidDocumentsTakeTheFastPath:
     """The per-line checker only raises, and only it: every valid document is built in one fast pass."""
 
     def test_roster_golden_and_unusual_documents(self):
+        # The benchmark's documents, as `gen`, `bennett`, `inverse` and `zg-compose` write them; then one
+        # with a comment on every line.
+        incr, decr, add = incrementer(3000), decrementer(3000), ripple_adder(2000)
+        large = [
+            serialize(m)
+            for m in (incr, decr, add, bennett(add), inverse_machine(incr), zero_garbage_compose(incr, decr))
+        ]
+        large.append("".join(line + " # gate-line_\u00e9\n" for line in large[-1].splitlines()))
         texts = [serialize(m) for _, m in small_machine_roster()]
         texts += [path.read_text() for path in sorted(GOLDEN.glob("*.rvc"))]
-        texts += UNUSUAL + [serialize(zero_garbage_compose(incrementer(300), decrementer(300)))]
+        texts += UNUSUAL + [serialize(zero_garbage_compose(incrementer(300), decrementer(300)))] + large
         with mock.patch.object(fileformat, "_raise_first_error", _refuse):
             for text in texts:
                 assert parse_circuit(text) == reference_parse_circuit(text)
+            # Each is written back byte for byte, and the comments change no gate.
+            assert [serialize(parse_circuit(text)) for text in large] == large[:-1] + large[-2:-1]
 
     @given(_edited_documents())
     def test_edited_documents_the_reference_accepts(self, text):

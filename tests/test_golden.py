@@ -1,6 +1,7 @@
 """Golden .rvc files: byte-stable, conformant, and functionally documented."""
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
@@ -37,12 +38,26 @@ def test_golden_file_conforms(name):
 
 
 @pytest.mark.parametrize("name", sorted(ORACLES))
-def test_golden_file_matches_documented_function(name):
-    machine = parse_circuit((GOLDEN / name).read_text())
+def test_golden_file_matches_documented_function(name, capsys):
+    path = GOLDEN / name
+    machine = parse_circuit(path.read_text())
     table = truth_table(machine)
     oracle = ORACLES[name]
     for x in range(1 << table.input_width):
         assert table.output_of(x) == oracle(x), (name, x)
+
+    def report(*argv) -> dict:
+        assert main([*map(str, argv), "--json"]) == 0, argv
+        return json.loads(capsys.readouterr().out)
+
+    # Through the CLI at 0, 1 and 2^n - 1: sim forward and back, and invert by table and blind, give back x.
+    for x in sorted({0, 1, (1 << table.input_width) - 1}):
+        forward = report("sim", "-c", path, "--int", x)
+        assert forward["output_value"] == oracle(x), (name, x)
+        back = report("sim", "-c", path, "--backward", "-x", forward["final_state"])
+        assert (back["input_value"], back["presets_consistent"]) == (x, True), (name, x)
+        for method in ((), ("--blind",)):
+            assert report("invert", "-c", path, "--int", oracle(x), *method)["input_value"] == x, (name, x, method)
 
 
 def test_golden_zero_garbage_machine_has_one_config():

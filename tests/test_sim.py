@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import os
 import random
 import subprocess
 import sys
@@ -620,7 +621,7 @@ def test_import_does_not_load_numpy():
     code = "import sys, revcirc, revcirc.cli; print('numpy' in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code],
-        env={"PYTHONPATH": src},
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))},
         capture_output=True,
         text=True,
         check=True,

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import random
 
 import pytest
 from unittest import mock
@@ -110,17 +111,20 @@ class TestBennett:
 
 
 class TestZeroGarbageCompose:
-    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("n", [*range(2, 7), 3000])
     def test_computes_f_with_everything_else_restored(self, n):
         zm = zero_garbage_compose_pair(n)
         size = 1 << n
         non_output = set(range(zm.width)) - set(zm.iface.output_lines)
         consts = zm.iface.preset_constants
-        for x in range(size):
-            final = run(zm.circuit, initial_state(zm, x))
+        # every input, or at the benchmark's 3000 bits both ends and one drawn input
+        for x in range(size) if n < 7 else (0, size - 1, random.Random(1).getrandbits(n)):
+            start = initial_state(zm, x)
+            final = run(zm.circuit, start)
             assert final.value_of(zm.iface.output_lines) == (x + 1) % size
             for line in non_output:
                 assert final.bits[line] == consts[line], (x, line)
+            assert run(zm.circuit, final, "backward") == start
 
     def test_garbage_region_is_empty(self):
         zm = zero_garbage_compose_pair(3)
