@@ -22,6 +22,12 @@ document. `_region_value` then reads the `-x`/`-y` bits or the `--int` value
 against the region's width. Every command writes its one report through
 `_emit`.
 
+`main` hands an argv that names a command straight to that command, whose
+context is then the only one built; its name, "revcirc COMMAND", is the
+command path the group would give it, so usage lines and help read the same.
+The group's context is built only for an argv that names no command: none at
+all, `--help`, an unknown command, or an option before the command.
+
 `main` runs each command with the cyclic garbage collector paused and
 restores its previous state on every exit: reference counting frees all a
 command builds but the few dozen small objects of the cycle that `json`'s
@@ -33,7 +39,6 @@ from __future__ import annotations
 import gc
 import json
 import sys
-from pathlib import Path
 
 import click
 
@@ -56,8 +61,14 @@ from .transforms import bennett, zero_garbage_compose
 
 
 def _load(path: str) -> Machine:
+    """The machine of the document at `path`, read in one binary read and decoded once.
+
+    `parse_circuit` splits lines at every boundary `str.splitlines` knows, so the CR LF and lone CR line
+    ends that a text-mode read would turn into LF give the same machine, or the same refusal.
+    """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, "rb", buffering=0) as fh:
+            text = fh.read().decode("utf-8")  # no name holds the bytes, so they are freed before the parse
     except UnicodeDecodeError as exc:
         raise InvalidCircuitError(f"{path} is not UTF-8 text: {exc}") from exc
     return parse_circuit(text)
@@ -416,14 +427,20 @@ _EXIT_CODES = ((ExhaustiveBoundError, 4), (InversionError, 3), (InvalidCircuitEr
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run the CLI, mapping domain errors to documented exit codes.
+    """Run the CLI on `argv` (`sys.argv[1:]` when None), mapping domain errors to documented exit codes.
 
-    The cyclic collector is paused for the command and left as the caller had it on every exit.
+    An argv that names a command runs it with no group context (see the module docstring). The cyclic
+    collector is paused for the command and left as the caller had it on every exit.
     """
+    args = sys.argv[1:] if argv is None else argv
+    command = cli.commands.get(args[0]) if args else None
     collecting = gc.isenabled()
     gc.disable()
     try:
-        code = cli.main(args=argv, prog_name="revcirc", standalone_mode=False)
+        if command is None:
+            code = cli.main(args=args, prog_name="revcirc", standalone_mode=False)
+        else:
+            code = command.main(args=args[1:], prog_name=f"revcirc {args[0]}", standalone_mode=False)
     except click.UsageError as exc:
         exc.show()
         return 1

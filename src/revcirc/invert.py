@@ -28,6 +28,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import repeat
+from operator import itemgetter
 from typing import Sequence
 
 from .ir import InvalidCircuitError, Machine
@@ -206,7 +207,7 @@ def invert_blind(
             if fit is None:
                 hit = _first_fit(machine, y, draws)
             else:
-                hit = "".join(map(fit.__getitem__, draws)).find("1")
+                hit = "".join(itemgetter(*draws)(fit)).find("1")  # one draw gives one character, which joins alike
             if hit >= 0:
                 input_value = _input_of(machine, y, draws[hit])
                 unique = fit is not None and fit.count("1") == 1

@@ -73,6 +73,23 @@ def machines(draw, max_width: int = 6, max_gates: int = 10):
     return Machine(circuit, iface)
 
 
+def assert_same_text(got: str, want: str, what: object = "text") -> None:
+    """Fail at once unless `got == want`, naming both lengths and the first line that differs.
+
+    For reports of 100 KB and more: pytest's diff of two such texts that differ on most lines can run
+    for minutes, so a bare `assert got == want` would leave a broken writer looking hung.
+    """
+    if got == want:
+        return
+    got_lines, want_lines = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    at = next((i for i, (a, b) in enumerate(zip(got_lines, want_lines)) if a != b), min(len(got_lines), len(want_lines)))
+    shown = [repr(lines[at]) if at < len(lines) else "the end of the text" for lines in (got_lines, want_lines)]
+    raise AssertionError(
+        f"{what}: {len(got)} characters where {len(want)} were expected; "
+        f"line {at + 1} is {shown[0]} where {shown[1]} was expected"
+    )
+
+
 def late_liar(tie: bool = False) -> Machine:
     """Inputs on lines 0-2; lines 4 and 3, in that order, declared restored to 0.
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import contextlib
 import gc
+import hashlib
 import io
 import json
 import os
@@ -10,6 +11,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -23,6 +25,7 @@ from revcirc import (
     BitState,
     ConformanceReport,
     GarbageProfile,
+    InvalidCircuitError,
     RestorationViolationError,
     cli,
     decrementer,
@@ -40,7 +43,8 @@ from revcirc import (
 from revcirc.analysis import _DECIMAL_BITS, _decimal_bits, machine_id
 from revcirc.cli import _FAMILIES, _ROW, _Json, _dumps, _int_to_bits, _repeated, main
 
-from conftest import machines, small_machine_roster
+from conftest import assert_same_text, machines, small_machine_roster
+from transcripts.make_corpus import CORPUS
 
 GOLDEN = Path(__file__).resolve().parent.parent / "golden"
 
@@ -399,6 +403,69 @@ class TestExitCodes:
         assert "leave" in capsys.readouterr().out
 
 
+# Every line boundary `str.splitlines` knows; a text-mode read turned only the first two into "\n".
+_LINE_ENDS = ["\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+_GOOD_LINES = ["width 3", "input 0 1 2", "output 0 1 2", "gate ccx 0 1 2", "gate x 0"]
+_BAD_LINES = ["width 3", "input 0 1 2", "output 0 1 2", "gate x 0", "  gate cx 0 5"]  # line 5, column 13
+_HEAD_BYTES = b"width 3\ninput 0 1 2\noutput 0 1 2\n#"
+_READ_CASES = {f"{kind} {end!r}": end.join(lines + [""]).encode() for end in _LINE_ENDS
+               for kind, lines in (("good", _GOOD_LINES), ("bad", _BAD_LINES))}
+_READ_CASES.update({
+    "mixed ends": b"width 3\r\r\ninput 0 1 2\n\routput 0 1 2\r\ngate x 0\rgate cx 0 1",
+    "crlf across 8 KiB": _HEAD_BYTES + b"x" * (8191 - len(_HEAD_BYTES)) + b"\r\ngate cx 0 9\r\n",  # CR is byte 8191
+    "utf-8 bom": b"\xef\xbb\xbf" + "\n".join(_GOOD_LINES).encode(),
+    "utf-8 bom, crlf": b"\xef\xbb\xbf" + "\r\n".join(_GOOD_LINES).encode(),
+    "not utf-8 past 8 KiB": b"width 1\ninput 0\noutput 0\n# " + b"x" * 9000 + b"\xff\n",
+    "cut utf-8 at the end": b"width 1\ninput 0\noutput 0\n# caf\xc3",
+})
+
+
+def text_read_outcome(path: Path):
+    """What `cli._load` gave for `path` when it read it with `Path.read_text`: its machine, or its refusal."""
+    try:
+        return parse_circuit(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        return InvalidCircuitError, f"{path} is not UTF-8 text: {exc}"
+    except InvalidCircuitError as exc:
+        return type(exc), str(exc)
+
+
+def loaded_outcome(path: Path):
+    """What `cli._load` gives for `path`: its machine, or the class and text of its refusal, as above."""
+    try:
+        return cli._load(str(path))
+    except InvalidCircuitError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("data", list(_READ_CASES.values()), ids=list(_READ_CASES))
+def test_load_gives_what_the_text_read_gave(tmp_path, data):
+    path = tmp_path / "doc.rvc"
+    path.write_bytes(data)
+    assert loaded_outcome(path) == text_read_outcome(path)
+
+
+def test_load_frees_the_bytes_before_the_parse(tmp_path):
+    # A text-mode read freed the file's bytes once it had decoded them; one binary read must too.
+    path = tmp_path / "m.rvc"
+    path.write_text(serialize(incrementer(1000)))
+    size = path.stat().st_size
+    held = []
+    parse = cli.parse_circuit
+
+    def measured(text):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return parse(text)
+
+    tracemalloc.start()
+    try:
+        with mock.patch.object(cli, "parse_circuit", measured):
+            cli._load(str(path))
+    finally:
+        tracemalloc.stop()
+    assert size < held[0] < 1.5 * size, (size, held)
+
+
 @pytest.fixture()
 def collector():
     """Yields nothing; restores the cyclic collector's state the test found, whatever the test did to it."""
@@ -512,6 +579,14 @@ def test_module_entry_point_smoke(tmp_path):
     )
     assert (proc.returncode, proc.stdout) == (3, "")
     assert proc.stderr == "error: no garbage configuration matches output 1: it is not in the machine's image\n"
+    # An argv naming no command reaches the group through `entry`, where `main` reads sys.argv itself.
+    records = {tuple(want["argv"]): want for want in json.loads(CORPUS.read_text())}
+    for argv in ([], ["nope"]):
+        proc = subprocess.run([sys.executable, "-m", "revcirc", *argv], capture_output=True, text=True, env=env)
+        want = records[tuple(argv)]
+        assert proc.returncode == want["exit"], argv
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == want["stdout_sha256"], argv
+        assert proc.stderr.splitlines()[0] == want["stderr"].splitlines()[0], argv
 
 
 def old_int_to_bits(value: int, width: int) -> str:
@@ -591,14 +666,14 @@ def test_dumps_bulk_sections_of_1024_rows(seed):
     per_output = dict(zip(rng.sample(range(-5000, 5000), 1 << 10), ints))
     rows = [{"input": x, "output": ints[x], "garbage": ints[x + 1024]} for x in range(1 << 10)]
     report = {"per_output": per_output, "rows": rows, "configs": ints, 7: [True] + ints[:5]}
-    assert _dumps(report) == json.dumps(report, indent=2)
+    assert_same_text(_dumps(report), json.dumps(report, indent=2))
     sections = {
         "per_output": _repeated('"%d": %d', "  ", "{}", list(per_output), per_output.values()),
         "rows": _repeated(_ROW, "  ", "[]", range(1 << 10), ints[:1024], ints[1024:2048]),
         "configs": _repeated("%d", "  ", "[]", ints),
         7: report[7],
     }
-    assert _dumps(sections) == json.dumps(report, indent=2)
+    assert_same_text(_dumps(sections), json.dumps(report, indent=2))
 
 
 @pytest.mark.parametrize(
@@ -659,7 +734,7 @@ def run_captured(argv: list[str]) -> tuple[int, str]:
 
 
 def assert_json_form(out: str) -> None:
-    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    assert_same_text(out, json.dumps(json.loads(out), indent=2) + "\n")
 
 
 def emitted_reports(argvs: list[list[str]]) -> list[tuple[int, str, list[dict]]]:
@@ -718,11 +793,12 @@ def check_emitted_bytes(machine, argv: list[str], code: int, out: str, reports: 
     CLI still builds its report as plain dicts, for the dict it gave `_emit`."""
     expected = reference_report(machine, argv)
     if expected is None:
-        assert [json.dumps(r, indent=2) + "\n" for r in reports] == [out] * len(reports), argv
+        for r in reports:
+            assert_same_text(out, json.dumps(r, indent=2) + "\n", argv)
         return
     want_code, report = expected
     assert code == want_code, argv
-    assert out == ("" if report is None else json.dumps(report, indent=2) + "\n"), argv
+    assert_same_text(out, "" if report is None else json.dumps(report, indent=2) + "\n", argv)
 
 
 def check_machine_reports(machine) -> int:
@@ -810,8 +886,9 @@ class TestColumnWriters:
         unbuilt = mock.Mock(side_effect=AssertionError("as_dict() was built"))
         with mock.patch.object(GarbageProfile, "as_dict", unbuilt):
             got = [run_captured(argv + ["--json"]) for argv in argvs]
-        for argv, (code, report), out in zip(argvs, expected, got):
-            assert out == (code, json.dumps(report, indent=2) + "\n"), argv
+        for argv, (code, report), (got_code, out) in zip(argvs, expected, got):
+            assert got_code == code, argv
+            assert_same_text(out, json.dumps(report, indent=2) + "\n", argv)
         assert unbuilt.call_count == 0
 
     def test_human_profile_and_invert_build_no_map_and_no_digest(self, capsys, incr3):

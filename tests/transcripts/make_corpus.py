@@ -96,6 +96,10 @@ def commands():
     """The fixed command set, in order. A generator: it reads machines the commands before it wrote."""
     yield []
     yield ["--help"]
+    # argvs that name no command go through the group: an unknown command, and an option before the command
+    yield ["nope"]
+    yield ["--json", "table", "-c", "incrementer_3.rvc"]
+    yield ["--help", "table"]
     for command in ("sim", "table", "profile", "growth", "invert", "gen", "inverse", "bennett", "zg-compose"):
         yield [command, "--help"]
 
