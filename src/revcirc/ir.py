@@ -123,15 +123,8 @@ class Circuit:
         gates = tuple(self.gates)
         object.__setattr__(self, "gates", gates)
         for gate in gates:
-            if gate.target < width:
-                for line in gate.controls:
-                    if line >= width:
-                        break
-                else:
-                    continue  # every line of this gate is in range
-            raise InvalidCircuitError(
-                f"gate on lines {gate.lines} out of range for width {width}"
-            )
+            if max(gate.lines) >= width:
+                raise InvalidCircuitError(f"gate on lines {gate.lines} out of range for width {width}")
 
     def __len__(self) -> int:
         return len(self.gates)

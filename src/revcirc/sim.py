@@ -12,10 +12,12 @@ All whole-function claims are checked by enumerating the input space. Every
 enumeration of 2^b values, inputs run forward here and garbage values run
 backward in `invert`, walks `_domain(b)`: chunks of at most 2^`_CHUNK_BITS`
 values in ascending order, so its memory does not grow with b. A chunk's
-region lines become one integer per input in `_region_values`, which packs
-up to 64 lines into a word per input and reads the words back as an array,
-so that step is C work per input too. Enumeration is refused above a
-configurable bound so exponential work never happens by accident.
+region lines become one integer per input in `_region_values`, which writes
+each line once into a buffer of little-endian bytes per input, so its cost
+is linear in the region's width, and reads values of up to 64 lines back as
+one array of words, so that step is C work per input too. Enumeration is
+refused above a configurable bound so exponential work never happens by
+accident.
 """
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ from array import array
 from dataclasses import dataclass
 from functools import reduce
 from itertools import repeat
-from operator import and_, iadd, lshift, or_
+from operator import and_, iadd
 from typing import Iterable, Iterator, Sequence
 
 from .ir import Circuit, Gate, InvalidCircuitError, Machine
@@ -212,30 +214,30 @@ def _region_values(columns: Sequence[int], rows: int) -> tuple[int, ...]:
     """Transpose bit-sliced region lines into one integer per input row.
 
     The first column is bit 0 of every value. Each group of eight columns is
-    spread one bit per row into one byte per row. Up to eight such byte
-    strings are copied, each with one strided slice, into a word of 1, 2, 4
-    or 8 bytes per row, and the words are read back as one array of ints. So
-    each 64 columns cost only C work per row; past the first 64, one shift
-    and OR per row joins each further 64.
+    spread one bit per row into one byte per row, and copied with one strided
+    slice into a buffer that holds each row's value as little-endian bytes,
+    row after row. So each column is written once. A row of at most 8 bytes
+    is padded to a word of 1, 2, 4 or 8 bytes, and the buffer is read back as
+    one array of words, which is C work per row; a wider row is read with one
+    `int.from_bytes`.
     """
     if not columns:
         return (0,) * rows
-    values: tuple[int, ...] = ()
+    groups = (len(columns) + 7) // 8
+    size = 1 << (groups - 1).bit_length() if groups <= 8 else groups  # bytes per row
     spec = f"0{rows}b"  # a column's digits, row rows-1 first
-    for w in range(0, len(columns), 64):
-        groups = (min(64, len(columns) - w) + 7) // 8
-        size = 1 << (groups - 1).bit_length()  # bytes per word
-        words = bytearray(size * rows)  # row x's word at byte size * x, little-endian
-        for g in range(groups):
-            packed = 0
-            for j, column in enumerate(columns[w + 8 * g : w + 8 * g + 8]):
-                packed |= int.from_bytes(format(column, spec).encode().translate(_BYTE_OF_BIT[j]), "big")
-            words[g::size] = packed.to_bytes(rows, "little")  # row x at byte x
-        block = array(_WORD_CODE[size], words)
-        if _BIG_ENDIAN:  # unreachable on the little-endian hosts CI runs on
-            block.byteswap()
-        values = tuple(map(or_, values, map(lshift, block, repeat(w)))) if w else tuple(block)
-    return values
+    raw = bytearray(size * rows)  # row x's value at byte size * x, little-endian
+    for g in range(groups):
+        packed = 0
+        for j, column in enumerate(columns[8 * g : 8 * g + 8]):
+            packed |= int.from_bytes(format(column, spec).encode().translate(_BYTE_OF_BIT[j]), "big")
+        raw[g::size] = packed.to_bytes(rows, "little")  # row x at byte x
+    if size > 8:
+        return tuple(int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size))
+    words = array(_WORD_CODE[size], raw)
+    if _BIG_ENDIAN:  # unreachable on the little-endian hosts CI runs on
+        words.byteswap()
+    return tuple(words)
 
 
 # _DIGIT_OF_BIT[j] maps each byte to the ASCII digit of its bit j: runs of

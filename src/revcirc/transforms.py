@@ -180,13 +180,14 @@ def zero_garbage_compose(
     ]
     circuit = reduce(concat, stages)
 
+    constant_lines = tuple(zip(r2, f_consts)) + tuple((l, 0) for l in r3)  # scratch and copy lines
     iface = InterfaceSpec(
         width=width,
         input_lines=r1,
-        preset_lines=tuple(zip(r2, f_consts)) + tuple((l, 0) for l in r3),
+        preset_lines=constant_lines,
         output_lines=r1,
         garbage_lines=(),
-        restored_lines=tuple(zip(r2, f_consts)) + tuple((l, 0) for l in r3),
+        restored_lines=constant_lines,
     )
     composed = Machine(circuit, iface)
     if n <= max_input_bits:

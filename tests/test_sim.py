@@ -395,16 +395,18 @@ def reference_region_values(columns: list[int], rows: int) -> tuple[int, ...]:
     return tuple(sum(((col >> x) & 1) << i for i, col in enumerate(columns)) for x in range(rows))
 
 
-_TRANSPOSE_WIDTHS = [0, 1, 7, 8, 9, 63, 64, 65, 127, 128, 130]
+_TRANSPOSE_WIDTHS = [0, 1, 7, 8, 9, 63, 64, 65, 127, 128, 130, 192, 1000]
 _TRANSPOSE_ROWS = [1, 2, 3, 4, 8, 64, 1 << 10]
 
 
 class TestWordTranspose:
-    """`_region_values` packs 64 columns per word; `_region_columns` is its inverse."""
+    """`_region_values` reads a row of up to 64 columns as one word, and a wider row from its bytes;
+    `_region_columns` is its inverse."""
 
-    @pytest.mark.parametrize("width", _TRANSPOSE_WIDTHS)
-    @pytest.mark.parametrize("rows", _TRANSPOSE_ROWS)
-    def test_matches_per_row_reference(self, width, rows):
+    @pytest.mark.parametrize(
+        "rows, width", [(r, w) for w in _TRANSPOSE_WIDTHS for r in _TRANSPOSE_ROWS] + [(64, 3000)]
+    )
+    def test_matches_per_row_reference(self, rows, width):
         rng = random.Random(width * 1000 + rows)
         columns = [rng.getrandbits(rows) for _ in range(width)]
         values = sim._region_values(columns, rows)

@@ -61,6 +61,15 @@ def documents() -> dict[str, bytes]:
         "wide_output.rvc": (
             f"width 15001\ninput 0\npreset {preset_lines(15000, 0)}\noutput {' '.join(map(str, range(15001)))}\n"
         ),
+        # 100 garbage lines preset to 0, each a cx or ccx of the 4 input lines: varied configurations past 64 lines
+        "wide_varied.rvc": (
+            f"width 104\ninput 0 1 2 3\npreset {' '.join(f'{line}=0' for line in range(4, 104))}\n"
+            f"output 0 1 2 3\ngarbage {' '.join(map(str, range(4, 104)))}\n"
+            + "".join(
+                f"gate cx {g % 4} {g}\n" if g % 5 in (0, 2) else f"gate ccx {g % 4} {(g + 1 + g * g % 3) % 4} {g}\n"
+                for g in range(4, 104)
+            )
+        ),
     }
     docs.update((name, text.encode()) for name, text in texts.items())
     docs["not_utf8.rvc"] = b"width 1\n# \xff\ninput 0\noutput 0\n"
@@ -122,6 +131,10 @@ def commands():
         yield from machine_commands(name, writers=False)
     for name in ("non_injective.rvc", "zero_input.rvc", "one_input.rvc"):
         yield from machine_commands(name, writers=False)
+    for flags in ([], ["--json"]):
+        yield ["table", "-c", "wide_varied.rvc", *flags]
+        yield ["profile", "-c", "wide_varied.rvc", *flags]
+        yield ["invert", "-c", "wide_varied.rvc", "--int", "5", *flags]
 
     for flags in ([], ["--json"]):
         yield ["growth", "--family", "incr", "--from", "2", "--to", "7", *flags]
