@@ -13,15 +13,16 @@ A guess is accepted exactly when the backward pass lands every preset line on
 its declared constant; reversibility then guarantees the recovered input
 really maps to the requested output.
 
-Every pass is one backward `sim._run`, with a lane per guess, and a guess
-fits where `sim._held` finds every preset line at its constant.
+Guesses run backward a `sim._passes` chunk at a time, with a lane per guess,
+and a guess fits where `sim._held` finds every preset line at its constant.
 `invert_blind` runs at most min(budget, 2^k) values backward: a budget of
-2^k or more runs all 2^k values once, over `sim._domain(k)`, for the set that
-fits, and reads the seeded `getrandbits(k)` draws against it (an empty set
-ends the search before any draw); a smaller budget runs its draws themselves.
-Every pass and scan holds at most 2^`sim._CHUNK_BITS` values, the bound every
-enumeration shares. Trials count single guesses. The accepted guess's input
-is read from a one-lane pass; nothing runs on single states.
+2^k or more runs all 2^k values once, in one `sim._passes` walk, for the set
+that fits, and reads the seeded `getrandbits(k)` draws against it (an empty
+set ends the search before any draw); a smaller budget runs its draws
+themselves. Every pass and draw block holds at most 2^`sim._CHUNK_BITS`
+values, the bound every enumeration shares. Trials count single guesses. The
+accepted guess's input is read from a one-lane backward `sim._run`; nothing
+runs on single states.
 """
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ from typing import Sequence
 from .ir import InvalidCircuitError, Machine
 from . import sim
 from .sim import EXHAUSTIVE_BOUND, ExhaustiveBoundError
-from .sim import _held, _lane, _lane_value, _region_columns, _run
+from .sim import _held, _lane, _lane_value, _passes, _run
 from .analysis import GarbageProfile, _decimal_bits
 
 
@@ -91,16 +92,6 @@ def _check_output(machine: Machine, y: int) -> None:
         raise InvalidCircuitError(f"output value {_named(y)} does not fit the {width}-bit output region")
 
 
-def _fits(machine: Machine, y: int, garbage_columns: list[int], full: int) -> int:
-    """Bit j is set iff guess j (bit j of each garbage column) runs back from `y` onto the presets.
-
-    Reversibility takes such a start forward to `y` and the guess again: no forward check is needed.
-    """
-    iface = machine.iface
-    columns = [full * bit for bit in _lane(y, iface.output_width)] + garbage_columns
-    return _held(_run(machine, columns, full, backward=True), iface.preset_lines, full)
-
-
 def _input_of(machine: Machine, y: int, config: int) -> int:
     """The input an accepted guess runs back to, from a one-lane backward `_run`."""
     iface = machine.iface
@@ -111,23 +102,20 @@ def _input_of(machine: Machine, y: int, config: int) -> int:
 def _fit_table(machine: Machine, y: int) -> str:
     """Character g is "1" iff garbage value g fits output `y`, for all 2^k values.
 
-    They go backward a `sim._domain` chunk at a time, in ascending order.
+    They go backward a `sim._passes` chunk at a time, in ascending order.
     """
-    return "".join(
-        format(_fits(machine, y, columns, full), f"0{full.bit_length()}b")[::-1]
-        for full, columns in sim._domain(machine.iface.garbage_width)
-    )
+    fits = ((full, _held(lines, machine.iface.preset_lines, full)) for full, lines in _passes(machine, y=y))
+    return "".join(format(fit, f"0{full.bit_length()}b")[::-1] for full, fit in fits)
 
 
 def _first_fit(machine: Machine, y: int, guesses: Sequence[int]) -> int:
-    """Index of the first guess that fits, or -1; runs 2^sim._CHUNK_BITS guesses back at a time."""
-    size = 1 << sim._CHUNK_BITS
-    k = machine.iface.garbage_width
-    for done in range(0, len(guesses), size):
-        chunk = guesses[done : done + size]
-        fits = _fits(machine, y, _region_columns(chunk, k), (1 << len(chunk)) - 1)
+    """Index of the first guess that fits, or -1; runs them back a `sim._passes` chunk at a time."""
+    presets, done = machine.iface.preset_lines, 0
+    for full, lines in _passes(machine, guesses, y):
+        fits = _held(lines, presets, full)
         if fits:
             return done + (fits & -fits).bit_length() - 1
+        done += full.bit_length()
     return -1
 
 

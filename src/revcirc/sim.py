@@ -8,10 +8,11 @@ command, forward or backward, over a chunk or one lane: each line is one
 integer holding its value on every lane, so a gate costs one big-integer
 operation over all of them, and `_held` masks the lanes that hold constants.
 
-All whole-function claims are checked by enumerating the input space. Every
-enumeration of 2^b values, inputs run forward here and garbage values run
-backward in `invert`, walks `_domain(b)`: chunks of at most 2^`_CHUNK_BITS`
-values in ascending order, so its memory does not grow with b. A chunk's
+All whole-function claims are checked by enumerating the input space.
+`_passes` cuts and runs every chunked pass, of inputs forward here or of
+garbage values backward in `invert`: all 2^b values in ascending order, or
+given values in their order, in chunks of at most 2^`_CHUNK_BITS`, so its
+memory does not grow with b. A one-lane pass is one `_run`. A chunk's
 region lines become one integer per input in `_region_values`, which writes
 each line once into a buffer of little-endian bytes per input, so its cost
 is linear in the region's width, and reads values of up to 64 lines back as
@@ -184,21 +185,6 @@ def _input_column(i: int, rows: int) -> int:
     return column
 
 
-def _domain(bits: int) -> Iterator[tuple[int, list[int]]]:
-    """All 2^`bits` values bit-sliced, in ascending chunks of 2^min(bits, _CHUNK_BITS).
-
-    Yields ``(full, columns)`` per chunk: bit j of column i is bit i of the
-    chunk's j-th value, and `full` has a bit set per value. The low columns
-    are input columns over the chunk, and its index sets the columns above.
-    """
-    low = min(bits, _CHUNK_BITS)
-    size = 1 << low
-    full = (1 << size) - 1
-    counting = [_input_column(i, size) for i in range(low)]
-    for chunk in range(1 << (bits - low)):
-        yield full, counting + [full if chunk >> i & 1 else 0 for i in range(bits - low)]
-
-
 # The array typecode of an unsigned int per item size in bytes, for the word
 # transpose in `_region_values`. C fixes only minimum sizes, so pick by size.
 _WORD_CODE = {array(code).itemsize: code for code in "QLIHB"}
@@ -313,8 +299,35 @@ def _lane_value(lines: Sequence[int], region: Sequence[int]) -> int:
     return int("".join([str(lines[line]) for line in reversed(region)]) or "0", 2)
 
 
+def _passes(
+    machine: Machine, values: Sequence[int] | None = None, y: int | None = None
+) -> Iterator[tuple[int, list[int]]]:
+    """Every line's value after each bit-sliced pass over at most 2^`_CHUNK_BITS` start values.
+
+    With `y` None the values are inputs run forward; otherwise they are garbage
+    values run backward from output `y`. With `values` None they are all 2^b
+    values of that region in ascending order: the low columns count over the
+    chunk, built once, and the chunk's index sets the columns above. Given
+    values are cut into chunks in their order and bit-sliced with
+    `_region_columns`. Yields ``(full, lines)`` per chunk, bit j of each line
+    being the chunk's j-th value and `full` having a bit set per value.
+    """
+    iface = machine.iface
+    bits, output = (iface.input_width, []) if y is None else (iface.garbage_width, _lane(y, iface.output_width))
+    if values is None:
+        low = min(bits, _CHUNK_BITS)
+        full = (1 << (1 << low)) - 1
+        counting = [_input_column(i, 1 << low) for i in range(low)]
+        chunks = ((full, counting + [full * (c >> i & 1) for i in range(bits - low)]) for c in range(1 << bits - low))
+    else:
+        parts = (values[done : done + (1 << _CHUNK_BITS)] for done in range(0, len(values), 1 << _CHUNK_BITS))
+        chunks = (((1 << len(part)) - 1, _region_columns(part, bits)) for part in parts)
+    for full, columns in chunks:
+        yield full, _run(machine, [full * bit for bit in output] + columns, full, y is not None)
+
+
 def _final_lines(machine: Machine, max_input_bits: int) -> Iterator[tuple[int, list[int]]]:
-    """Every line's final value, bit-sliced, on each `_domain` chunk of inputs in turn.
+    """Every line's final value, bit-sliced, on each `_passes` chunk of all inputs in turn.
 
     Yields ``(full, lines)`` per chunk, bit j of each line being the chunk's
     j-th input. Refuses more than `max_input_bits` input bits before the first
@@ -323,8 +336,7 @@ def _final_lines(machine: Machine, max_input_bits: int) -> Iterator[tuple[int, l
     """
     iface = machine.iface
     check_enumeration_bound(iface.input_width, max_input_bits)
-    for chunk, (full, columns) in enumerate(_domain(iface.input_width)):
-        lines = _run(machine, columns, full)
+    for chunk, (full, lines) in enumerate(_passes(machine)):
         failed = full & ~_held(lines, iface.restored_lines, full)
         if failed:
             lane = failed & -failed  # the lowest failing input

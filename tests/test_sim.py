@@ -380,14 +380,30 @@ class TestBitSlicedTable:
 
 @pytest.mark.parametrize("chunk_bits", [sim._CHUNK_BITS, 0, 1, 2, 3])
 def test_domain_counts_up_in_chunks(monkeypatch, chunk_bits):
+    # With no gates, and each of the first `bits` lines both an input and a garbage
+    # line, a chunk's first `bits` lines are the start columns of its values,
+    # forward and backward. With no bits, the one line is a preset line held at 0.
     monkeypatch.setattr(sim, "_CHUNK_BITS", chunk_bits)
+    rng = random.Random(chunk_bits)
     for bits in range(7):
-        values = []
-        for full, columns in sim._domain(bits):
-            assert full == (1 << (1 << min(bits, chunk_bits))) - 1
-            assert len(columns) == bits
-            values += sim._region_values(columns, full.bit_length())
-        assert values == list(range(1 << bits))
+        held = () if bits else ((0, 0),)
+        iface = InterfaceSpec(max(bits, 1), range(bits), held, garbage_lines=range(bits), restored_lines=held)
+        m = Machine(Circuit(iface.width, ()), iface)
+        given_values = list(range(1 << bits))[::-1] + [rng.randrange(1 << bits) for _ in range(5)]
+        low = min(bits, chunk_bits)
+        for values, sizes in (
+            (None, [1 << low] * (1 << (bits - low))),
+            (given_values, chunk_lanes(len(given_values), len(given_values), 1 << chunk_bits)),
+        ):
+            for y in (None, 0):
+                seen, ran = [], []
+                for full, lines in sim._passes(m, values, y):
+                    ran.append(full.bit_length())
+                    assert full == (1 << full.bit_length()) - 1
+                    assert len(lines) == iface.width
+                    seen += sim._region_values(lines[:bits], full.bit_length())
+                assert ran == sizes
+                assert seen == (list(range(1 << bits)) if values is None else values)
 
 
 def reference_region_values(columns: list[int], rows: int) -> tuple[int, ...]:
@@ -574,6 +590,10 @@ class TestPassCounts:
         with pytest.raises(NotInversePairError, match=f"expected {1 << (n - 1)}$"):
             zero_garbage_compose(incrementer(n), g)
         upto = (1 << (n - 1)) // chunks[0] + 1  # the chunks up to the failing one
+        assert passes == chunks[:upto] + [1, 1]
+        passes.clear()  # a pair of exactly max_input_bits bits is still checked
+        with pytest.raises(NotInversePairError, match=f"expected {1 << (n - 1)}$"):
+            zero_garbage_compose(incrementer(n), g, max_input_bits=n)
         assert passes == chunks[:upto] + [1, 1]
         # f with its top carry declared restored is still run, up to its chunk of
         # 2^(n-1) - 1, the carry's first 1, and its violation is reported first.
