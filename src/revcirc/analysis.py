@@ -27,7 +27,7 @@ from .sim import (
     check_enumeration_bound,
     truth_table,
 )
-from .sim import _final_lines, _region_values
+from .sim import _final_lines, _region_values, _violation
 
 # garbage_configs splits at most this many row masks per chunk, then transposes
 # the chunk instead: the split costs two ANDs per mask and garbage line, so a
@@ -147,11 +147,12 @@ class ConformanceReport:
     ) -> ConformanceReport:
         """The report on `machine` given how its enumeration ended.
 
-        `violation` is what `sim._final_lines` raised for the first input on
-        which a declared-restored line missed its constant, or None if every
-        input held; `conformance` reads it directly, and the CLI's `profile`
-        through `garbage_profile`. The two partition clauses are structural,
-        enforced when the interface was built, and re-stated for completeness.
+        `violation` is what `sim._violation` returns: the error for the first
+        input on which a declared-restored line missed its constant, or None
+        if every input held. `conformance` passes it on, and the CLI's
+        `profile` passes what `garbage_profile` raised. The two partition
+        clauses are structural, enforced when the interface was built, and
+        re-stated for completeness.
         """
         restored = ClauseResult(
             "restored-constants", True, detail="" if machine.iface.restored_lines else "no restored lines declared"
@@ -251,17 +252,11 @@ def conformance(
 ) -> ConformanceReport:
     """Check the interface declaration against actual behavior on every input.
 
-    A reading of `sim._final_lines`, the bit-sliced pass that verifies the
-    restored lines on every input with no transpose: the report names the
-    first input on which a declared-restored line fails to hold its constant.
+    The report on `sim._violation`, the bit-sliced pass that verifies the
+    restored lines on every input with no transpose: it names the first input
+    on which a declared-restored line fails to hold its constant.
     """
-    violation = None
-    try:
-        for _ in _final_lines(machine, max_input_bits):
-            pass
-    except RestorationViolationError as exc:
-        violation = exc
-    return ConformanceReport.from_outcome(machine, machine_id(machine, label), violation)
+    return ConformanceReport.from_outcome(machine, machine_id(machine, label), _violation(machine, max_input_bits))
 
 
 def classify_growth(points: Sequence[tuple[int, int]]) -> tuple[str, dict]:

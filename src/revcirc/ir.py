@@ -8,8 +8,8 @@ output/garbage/restored at the end); a Machine bundles the two.
 Large circuits hold tens of thousands of gates, so a Gate is a slotted
 dataclass: three fields and no per-instance `__dict__`. It still compares,
 hashes, copies and pickles as a value, and assigning a field raises
-`FrozenInstanceError`. A GateKind carries its control count as a plain
-attribute, read without hashing the member.
+`FrozenInstanceError`. A GateKind is its mnemonic, and its control count
+is the number of leading `c`s in it.
 
 Validation happens once, where a value enters: in the public `Gate`,
 `make_gate` and `Circuit` constructors and in the parser. `inverse`,
@@ -35,18 +35,14 @@ class InvalidCircuitError(ValueError):
 
 
 class GateKind(Enum):
-    X = "x", 0
-    CX = "cx", 1
-    CCX = "ccx", 2
+    X = "x"
+    CX = "cx"
+    CCX = "ccx"
 
-    n_controls: int
-
-    def __new__(cls, value: str, n_controls: int) -> GateKind:
-        # `.value` stays the mnemonic; n_controls is a plain member attribute.
-        member = object.__new__(cls)
-        member._value_ = value
-        member.n_controls = n_controls
-        return member
+    @property
+    def n_controls(self) -> int:
+        """How many controls the kind takes: one per leading `c` of its mnemonic."""
+        return len(self.value) - 1
 
 
 @dataclass(frozen=True, slots=True)

@@ -12,7 +12,9 @@ All whole-function claims are checked by enumerating the input space.
 `_passes` cuts and runs every chunked pass, of inputs forward here or of
 garbage values backward in `invert`: all 2^b values in ascending order, or
 given values in their order, in chunks of at most 2^`_CHUNK_BITS`, so its
-memory does not grow with b. A one-lane pass is one `_run`. A chunk's
+memory does not grow with b. A one-lane pass is one `_run`. `_final_lines`
+is the one place that decides whether the restored lines held, and
+`_violation` the one pass run only for that verdict. A chunk's
 region lines become one integer per input in `_region_values`, which writes
 each line once into a buffer of little-endian bytes per input, so its cost
 is linear in the region's width, and reads values of up to 64 lines back as
@@ -154,11 +156,10 @@ def run(circuit: Circuit, state: BitState, direction: str = "forward") -> BitSta
 def initial_state(machine: Machine, x: int) -> BitState:
     """Legal starting state: input region encodes `x`, presets at their constants."""
     iface = machine.iface
-    state = BitState.zeros(iface.width)
+    bits = [0] * iface.width
     for line, const in iface.preset_lines:
-        if const:
-            state = state.with_value([line], 1)
-    return state.with_value(iface.input_lines, x)
+        bits[line] = const
+    return BitState(iface.width, bits).with_value(iface.input_lines, x)
 
 
 def check_enumeration_bound(input_bits: int, max_input_bits: int) -> None:
@@ -344,6 +345,19 @@ def _final_lines(machine: Machine, max_input_bits: int) -> Iterator[tuple[int, l
             x = chunk * full.bit_length() + lane.bit_length() - 1
             raise RestorationViolationError(x, line, const, 1 - const)
         yield full, lines
+
+
+def _violation(machine: Machine, max_input_bits: int) -> RestorationViolationError | None:
+    """What `_final_lines` raised for the lowest input on which a restored line missed its constant, or None.
+
+    The one pass that runs only for its verdict; it refuses as `_final_lines` does.
+    """
+    try:
+        for _ in _final_lines(machine, max_input_bits):
+            pass
+    except RestorationViolationError as violation:
+        return violation
+    return None
 
 
 def truth_table(machine: Machine, max_input_bits: int = EXHAUSTIVE_BOUND) -> FunctionTable:

@@ -42,8 +42,8 @@ from .ir import (
     remap,
 )
 from .ir import _trusted_circuit, _trusted_gate
-from .sim import EXHAUSTIVE_BOUND, RestorationViolationError
-from .sim import _final_lines, _lane, _lane_value, _run
+from .sim import EXHAUSTIVE_BOUND
+from .sim import _lane, _lane_value, _run, _violation
 
 
 class NotInversePairError(InvalidCircuitError):
@@ -192,15 +192,12 @@ def zero_garbage_compose(
     composed = Machine(circuit, iface)
     if n <= max_input_bits:
         for m in (mf, mfinv):
-            if m.iface.restored_lines:  # with none, the pass cannot fail
-                for _ in _final_lines(m, max_input_bits):
-                    pass
-        try:
-            for _ in _final_lines(composed, max_input_bits):
-                pass
-        except RestorationViolationError as exc:
-            x = exc.input_value
+            # with no restored lines the pass cannot fail
+            if m.iface.restored_lines and (violation := _violation(m, max_input_bits)) is not None:
+                raise violation
+        if (violation := _violation(composed, max_input_bits)) is not None:
+            x = violation.input_value
             y = _lane_value(_run(mf, _lane(x, n), 1), f_if.output_lines)
             back = _lane_value(_run(mfinv, _lane(y, n), 1), g_if.output_lines)
-            raise NotInversePairError(f"second machine maps {y} to {back}, expected {x}") from None
+            raise NotInversePairError(f"second machine maps {y} to {back}, expected {x}")
     return composed

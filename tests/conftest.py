@@ -204,6 +204,33 @@ def reference_classify_growth(points):
     return "superpolynomial-suspect", details
 
 
+def _classifier_edges() -> list[tuple[list[tuple[int, int]], str]]:
+    """A point list either side of each `classify_growth` threshold, with the label it gets.
+
+    The log-growth floor log(1.4): a constant ratio of 1.39 and 1.41 per size.
+    The degree cap 4: n^4 and n^5. The residual cap 0.25: n^2 with the n = 5
+    count off by e^0.3 and e^0.45. The spread cap 0.15 of the mean: log ratios
+    ln 2 * (1 + d, 1 - d, 1 + d). Each list's sizes run from 2 in steps of 1.
+    """
+    ratio = {r: [(n, round(1000 * r**n)) for n in range(2, 5)] for r in (1.39, 1.41)}
+    power = {d: [(n, n**d) for n in range(2, 7)] for d in (4, 5)}
+    bent = {e: [(n, round(100 * n * n * math.exp(e * (n == 5)))) for n in range(2, 8)] for e in (0.3, 0.45)}
+    spread = {d: [(n, round(1000 * 2**s)) for n, s in zip(range(2, 6), (0, 1 + d, 2, 3 + d))] for d in (0.1, 0.2)}
+    return [
+        (ratio[1.39], "polynomial-fit(1)"),
+        (ratio[1.41], "superpolynomial-suspect"),
+        (power[4], "polynomial-fit(4)"),
+        (power[5], "superpolynomial-suspect"),
+        (bent[0.3], "polynomial-fit(2)"),
+        (bent[0.45], "superpolynomial-suspect"),
+        (spread[0.1], "superpolynomial-suspect"),
+        (spread[0.2], "polynomial-fit(2)"),
+    ]
+
+
+CLASSIFIER_EDGES = _classifier_edges()
+
+
 def classified_or_refused(classify, points):
     """What `classify` returns for `points`, or the class and message of what it raises."""
     try:

@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import sys
 import tracemalloc
 from pathlib import Path
@@ -42,7 +41,7 @@ from revcirc import (
 )
 from revcirc.analysis import _DECIMAL_BITS, ClauseResult
 from conftest import CLASSIFY_GROWTH_CALLS, classified_or_refused, reference_classify_growth, reference_growth_outcome
-from conftest import late_liar, machines
+from conftest import CLASSIFIER_EDGES, late_liar, machines
 
 GOLDEN = Path(__file__).resolve().parent.parent / "golden"
 
@@ -400,24 +399,7 @@ class TestGrowth:
         assert label == "polynomial-fit(2)"
         label, _ = classify_growth([(n, n**3) for n in range(2, 9)])
         assert label == "polynomial-fit(3)"
-        # Each threshold with a point list on either side of it. The log-growth floor
-        # log(1.4): a constant ratio of 1.39 and 1.41 per size. The degree cap 4: n^4
-        # and n^5. The residual cap 0.25: n^2 with the n = 5 count off by e^0.3 and
-        # e^0.45. The spread cap 0.15 of the mean: log ratios ln 2 * (1 + d, 1 - d, 1 + d).
-        ratio = {r: [(n, round(1000 * r**n)) for n in range(2, 5)] for r in (1.39, 1.41)}
-        power = {d: [(n, n**d) for n in range(2, 7)] for d in (4, 5)}
-        bent = {e: [(n, round(100 * n * n * math.exp(e * (n == 5)))) for n in range(2, 8)] for e in (0.3, 0.45)}
-        spread = {d: [(n, round(1000 * 2**s)) for n, s in zip(range(2, 6), (0, 1 + d, 2, 3 + d))] for d in (0.1, 0.2)}
-        for points, expected in [
-            (ratio[1.39], "polynomial-fit(1)"),
-            (ratio[1.41], "superpolynomial-suspect"),
-            (power[4], "polynomial-fit(4)"),
-            (power[5], "superpolynomial-suspect"),
-            (bent[0.3], "polynomial-fit(2)"),
-            (bent[0.45], "superpolynomial-suspect"),
-            (spread[0.1], "superpolynomial-suspect"),
-            (spread[0.2], "polynomial-fit(2)"),
-        ]:
+        for points, expected in CLASSIFIER_EDGES:
             assert classify_growth(points)[0] == expected, points
 
     def test_classifier_on_synthetic_exponential(self):

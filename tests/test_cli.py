@@ -23,10 +23,14 @@ from hypothesis import strategies as st
 import revcirc
 from revcirc import (
     BitState,
+    Circuit,
     ConformanceReport,
     GarbageProfile,
+    InterfaceSpec,
     InvalidCircuitError,
+    Machine,
     RestorationViolationError,
+    analysis,
     cli,
     decrementer,
     garbage_profile,
@@ -43,7 +47,7 @@ from revcirc import (
 from revcirc.analysis import _DECIMAL_BITS, _decimal_bits, machine_id
 from revcirc.cli import _FAMILIES, _ROW, _Json, _dumps, _int_to_bits, _repeated, main
 
-from conftest import assert_same_text, machines, small_machine_roster
+from conftest import CLASSIFIER_EDGES, assert_same_text, machines, small_machine_roster
 from transcripts.make_corpus import CORPUS
 
 GOLDEN = Path(__file__).resolve().parent.parent / "golden"
@@ -221,6 +225,21 @@ class TestProfileAndGrowth:
     def test_growth_adder(self, capsys):
         report = run_json(capsys, "growth", "--family", "adder", "--from", "2", "--to", "5")
         assert report["classification"] == "superpolynomial-suspect"
+
+    def test_growth_json_gives_each_classifier_edge_its_label(self, capsys):
+        # A zero-gate machine of width n per size, with the point list's count of configurations at n.
+        def family(n: int) -> Machine:
+            return Machine(Circuit(n), InterfaceSpec(width=n, input_lines=range(n), output_lines=range(n)))
+
+        for points, expected in CLASSIFIER_EDGES:
+            counts = dict(points)
+            sizes = ["--from", str(min(counts)), "--to", str(max(counts))]
+            with mock.patch.dict(_FAMILIES, {"incr": (family, 1)}), mock.patch.object(
+                analysis, "garbage_configs", lambda machine, bound: [0] * counts[machine.width]
+            ):
+                report = run_json(capsys, "growth", "--family", "incr", *sizes)
+            assert report["points"] == [list(point) for point in points]
+            assert report["classification"] == expected, points
 
     def test_growth_range_too_short(self, capsys):
         assert main(["growth", "--family", "incr", "--from", "2", "--to", "3"]) == 1

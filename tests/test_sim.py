@@ -33,6 +33,7 @@ from revcirc import (
     decrementer,
     garbage_configs,
     garbage_profile,
+    growth_report,
     incrementer,
     initial_state,
     invert_blind,
@@ -148,6 +149,47 @@ class TestBitState:
 
     def test_str_is_line_order(self):
         assert str(state(1, 0, 1, 1)) == "1011"
+
+
+def reference_initial_state(machine: Machine, x: int) -> BitState:
+    """`initial_state` as written with one copy of the whole state per preset at 1, kept as its oracle."""
+    iface = machine.iface
+    state = BitState.zeros(iface.width)
+    for line, const in iface.preset_lines:
+        if const:
+            state = state.with_value([line], 1)
+    return state.with_value(iface.input_lines, x)
+
+
+class TestInitialState:
+    def test_matches_per_preset_reference(self, roster, monkeypatch):
+        # 3,000 presets, three in four at 1, around input lines placed out of order.
+        inputs = (3003, 0, 1500, 7)
+        presets = tuple((line, int(line % 4 != 0)) for line in range(3004) if line not in inputs)
+        wide = Machine(
+            Circuit(3004),
+            InterfaceSpec(
+                width=3004,
+                input_lines=inputs,
+                preset_lines=presets,
+                output_lines=inputs,
+                garbage_lines=tuple(line for line, _ in presets),
+            ),
+        )
+        cases = [(m, x) for _, m in roster for x in range(1 << m.iface.input_width)] + [(wide, 0b1011)]
+        built = []
+        post_init = BitState.__post_init__
+
+        def counted(state):
+            built.append(state.width)
+            post_init(state)
+
+        monkeypatch.setattr(BitState, "__post_init__", counted)
+        for m, x in cases:
+            want = reference_initial_state(m, x)
+            built.clear()
+            assert initial_state(m, x) == want
+            assert len(built) <= 2  # the state once, and once with its input written
 
 
 class TestTruthTable:
@@ -618,6 +660,26 @@ class TestPassCounts:
         passes.clear()
         for mg in (decrementer(n), g, incrementer(n)):  # trusted above the bound
             zero_garbage_compose(incrementer(n), mg, max_input_bits=n - 1)
+        assert passes == []
+
+    def test_default_bounds_refuse_21_bits_before_any_pass(self, monkeypatch):
+        passes = count_passes(monkeypatch)
+        with pytest.raises(ExhaustiveBoundError, match="^garbage region has 21 bits; refusing blind search beyond 20$"):
+            invert_blind(copy_machine(21, 43), 0, seed=0)
+        refused = "^input region has 21 bits; refusing exhaustive enumeration beyond 20 "
+        for enumerate_inputs in (garbage_configs, conformance):
+            with pytest.raises(ExhaustiveBoundError, match=refused):
+                enumerate_inputs(incrementer(21))
+        assert passes == []
+
+    def test_growth_counts_up_to_20_bits_and_refuses_21_unenumerated(self, monkeypatch):
+        passes = count_passes(monkeypatch)
+        rep = growth_report(incrementer, range(18, 21))
+        assert rep.points == ((18, 17), (19, 18), (20, 19))
+        assert passes == [1 << sim._CHUNK_BITS] * ((1 << 4) + (1 << 5) + (1 << 6))
+        passes.clear()
+        with pytest.raises(ExhaustiveBoundError, match="^input region has 21 bits"):
+            growth_report(incrementer, range(18, 22))
         assert passes == []
 
     def test_cli_sim_is_one_pass(self, monkeypatch, capsys):

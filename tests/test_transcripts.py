@@ -13,14 +13,8 @@ from transcripts import make_corpus
 CORPUS = json.loads(make_corpus.CORPUS.read_text())
 
 
-def _shown(argv: list[str]) -> str:
-    return " ".join(arg if len(arg) <= 40 else f"{arg[:8]}...({len(arg)} chars)" for arg in argv)
-
-
 def test_every_record_replays_byte_for_byte(tmp_path):
-    with make_corpus.session(tmp_path):
-        differing = [_shown(want["argv"]) for want in CORPUS if make_corpus.record(want["argv"]) != want]
-    assert differing == []
+    assert make_corpus.replay(tmp_path, CORPUS) == []
 
 
 # The usage errors `sim` and `invert` raise from their options alone, before they read the document.
@@ -36,8 +30,8 @@ def test_option_refusals_are_made_before_the_document_is_read(tmp_path):
     for want in refusals:  # earlier corpus commands write some of these documents; an empty stand-in is never read
         (tmp_path / want["argv"][2]).touch()
     unread = mock.Mock(side_effect=AssertionError("the document was read"))
-    with make_corpus.session(tmp_path), mock.patch.object(cli, "_load", unread):
-        differing = [_shown(want["argv"]) for want in refusals if make_corpus.record(want["argv"]) != want]
+    with mock.patch.object(cli, "_load", unread):
+        differing = make_corpus.replay(tmp_path, refusals)
     assert differing == [] and unread.call_count == 0
 
 

@@ -10,10 +10,16 @@ Regenerate after an intended change to the output, and list each record that cha
 
     PYTHONPATH=src python tests/transcripts/make_corpus.py
 
-`tests/test_transcripts.py` replays every record against the committed file.
+Replay every record against the committed file, printing the argv of each that differs and
+exiting 1 if any does; this needs only the standard library and click, not pytest:
+
+    PYTHONPATH=src python tests/transcripts/make_corpus.py --check
+
+`tests/test_transcripts.py` makes the same replay.
 """
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -239,12 +245,34 @@ def transcript(directory: Path) -> list[dict]:
         return [record(argv) for argv in commands()]
 
 
-def main() -> None:
+def replay(directory: Path, records: list[dict]) -> list[str]:
+    """Run each record's argv in a `session` in `directory`; the argv of each record that differs.
+
+    Each argv is one line, with an argument over 40 characters cut to its first 8 and its length.
+    """
+    with session(directory):
+        differing = [want["argv"] for want in records if record(want["argv"]) != want]
+    shown = [[arg if len(arg) <= 40 else f"{arg[:8]}...({len(arg)} chars)" for arg in argv] for argv in differing]
+    return [" ".join(argv) for argv in shown]
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--check", action="store_true", help="replay the committed corpus instead of writing it")
+    args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as directory:
+        if args.check:
+            records = json.loads(CORPUS.read_text())
+            differing = replay(Path(directory), records)
+            for line in differing:
+                print(line)
+            print(f"{len(differing)} of {len(records)} records differ", file=sys.stderr)
+            return 1 if differing else 0
         records = transcript(Path(directory))
     CORPUS.write_text(json.dumps(records, indent=1) + "\n")
     print(f"wrote {len(records)} records to {CORPUS}", file=sys.stderr)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
