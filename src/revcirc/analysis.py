@@ -20,14 +20,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .ir import Machine
-from .sim import (
-    EXHAUSTIVE_BOUND,
-    ExhaustiveBoundError,
-    RestorationViolationError,
-    check_enumeration_bound,
-    truth_table,
-)
-from .sim import _final_lines, _region_values, _violation
+from .sim import EXHAUSTIVE_BOUND, RestorationViolationError, check_enumeration_bound, truth_table
+from .sim import _final_lines, _refuse_beyond, _region_values, _violation
 
 # garbage_configs splits at most this many row masks per chunk, then transposes
 # the chunk instead: the split costs two ANDs per mask and garbage line, so a
@@ -84,10 +78,7 @@ class GarbageProfile:
         import hashlib  # here, not at module level: most commands take no digest
 
         bits = max(self.configs, default=0).bit_length()
-        if bits > (bound := _decimal_bits()):
-            raise ExhaustiveBoundError(
-                f"a garbage configuration has {bits} bits; refusing to write it in decimal beyond {bound}"
-            )
+        _refuse_beyond("a garbage configuration", bits, _decimal_bits(), "to write it in decimal")
         configs = tuple(self.configs)  # `%` reads a tuple; a caller may pass a list
         body = f"{self.garbage_bits}:" + ",".join(["%d"] * len(configs)) % configs  # twice a str() join's speed
         return hashlib.sha256(body.encode()).hexdigest()[:16]

@@ -56,7 +56,7 @@ from .sim import (
     is_injective,
     truth_table,
 )
-from .sim import _apply_gates, _held, _lane, _lane_value, _run
+from .sim import _apply_gates, _held, _lane, _lane_value, _refuse_beyond, _run
 from .transforms import bennett, zero_garbage_compose
 
 
@@ -112,10 +112,7 @@ def _check_decimal(iface: InterfaceSpec, *regions: str) -> None:
     """Refuse, before any run, a report writing values of a region too wide for `str()` in decimal."""
     for region in regions:
         bits = getattr(iface, f"{region}_width")
-        if bits > (bound := _decimal_bits()):
-            raise ExhaustiveBoundError(
-                f"{region} region has {bits} bits; refusing to write its values in decimal beyond {bound}"
-            )
+        _refuse_beyond(f"{region} region", bits, _decimal_bits(), "to write its values in decimal")
 
 
 def _repeated(item: str, pad: str, brackets: str, *columns) -> _Json:

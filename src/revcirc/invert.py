@@ -34,8 +34,8 @@ from typing import Sequence
 
 from .ir import InvalidCircuitError, Machine
 from . import sim
-from .sim import EXHAUSTIVE_BOUND, ExhaustiveBoundError
-from .sim import _held, _lane, _lane_value, _passes, _run
+from .sim import EXHAUSTIVE_BOUND
+from .sim import _held, _lane, _lane_value, _passes, _refuse_beyond, _run
 from .analysis import GarbageProfile, _decimal_bits
 
 
@@ -176,10 +176,7 @@ def invert_blind(
     every value and reports False.
     """
     k = machine.iface.garbage_width
-    if k > max_garbage_bits:
-        raise ExhaustiveBoundError(
-            f"garbage region has {k} bits; refusing blind search beyond {max_garbage_bits}"
-        )
+    _refuse_beyond("garbage region", k, max_garbage_bits, "blind search")
     _check_output(machine, y)
     if max_trials is None:
         max_trials = 64 << k

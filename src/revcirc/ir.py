@@ -12,7 +12,10 @@ hashes, copies and pickles as a value, and assigning a field raises
 is the number of leading `c`s in it.
 
 Validation happens once, where a value enters: in the public `Gate`,
-`make_gate` and `Circuit` constructors and in the parser. `inverse`,
+`make_gate` and `Circuit` constructors and in the parser. The public
+constructors refuse a kind that is not a `GateKind`, and read each line
+index and width through `operator.index`, so a bool or an int subclass is
+kept as its plain int and a float is refused. `inverse`,
 `concat` and `remap` (after checking its line map) build from gates already
 valid, and the trusted builders — the `library` machines and
 `transforms.copy_fanout` (after its own length, overlap and range checks) —
@@ -27,11 +30,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
+from operator import index
 from typing import Iterable, Mapping, Sequence
 
 
 class InvalidCircuitError(ValueError):
     """A gate, circuit, or interface declaration breaks a structural invariant."""
+
+
+def _index(value, what: str = "line index") -> int:
+    """`value` read by `operator.index`, so a bool or an int subclass becomes a plain int; anything else is refused."""
+    try:
+        return index(value)
+    except TypeError:
+        raise InvalidCircuitError(f"{what} must be an integer, got {value!r}") from None
 
 
 class GateKind(Enum):
@@ -58,15 +70,18 @@ class Gate:
     target: int
 
     def __post_init__(self) -> None:
-        controls = tuple(self.controls)
-        _set_controls(self, controls)
         kind = self.kind
+        if not isinstance(kind, GateKind):
+            raise InvalidCircuitError(f"gate kind must be a GateKind, got {kind!r}")
+        controls = tuple(map(_index, self.controls))
+        _set_controls(self, controls)
+        _set_target(self, target := _index(self.target))
         if len(controls) != kind.n_controls:
             raise InvalidCircuitError(
                 f"gate kind {kind.value!r} takes {kind.n_controls} "
                 f"control(s), got {len(controls)}"
             )
-        lines = controls + (self.target,)
+        lines = controls + (target,)
         if min(lines) < 0:
             raise InvalidCircuitError(f"negative line index in gate: {lines}")
         if len(set(lines)) != len(lines):
@@ -113,10 +128,11 @@ class Circuit:
     gates: tuple[Gate, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.width < 1:
+        width = _index(self.width, "circuit width")
+        if width < 1:
             raise InvalidCircuitError("circuit width must be positive")
-        width = self.width
         gates = tuple(self.gates)
+        object.__setattr__(self, "width", width)
         object.__setattr__(self, "gates", gates)
         for gate in gates:
             if max(gate.lines) >= width:

@@ -20,7 +20,10 @@ each line once into a buffer of little-endian bytes per input, so its cost
 is linear in the region's width, and reads values of up to 64 lines back as
 one array of words, so that step is C work per input too. Enumeration is
 refused above a configurable bound so exponential work never happens by
-accident.
+accident. `_refuse_beyond` raises every `ExhaustiveBoundError` of every
+module, in one message shape: the input rows of `check_enumeration_bound`,
+the garbage rows of blind search, and the regions and configurations too
+wide to write in decimal.
 """
 from __future__ import annotations
 
@@ -162,13 +165,16 @@ def initial_state(machine: Machine, x: int) -> BitState:
     return BitState(iface.width, bits).with_value(iface.input_lines, x)
 
 
+def _refuse_beyond(what: str, bits: int, bound: int, doing: str, hint: str = "") -> None:
+    """Raise `ExhaustiveBoundError` if `what` has more than `bound` bits: every size refusal of every command."""
+    if bits > bound:
+        raise ExhaustiveBoundError(f"{what} has {bits} bits; refusing {doing} beyond {bound}{hint}")
+
+
 def check_enumeration_bound(input_bits: int, max_input_bits: int) -> None:
     """Refuse to enumerate an input region of more than `max_input_bits` bits."""
-    if input_bits > max_input_bits:
-        raise ExhaustiveBoundError(
-            f"input region has {input_bits} bits; refusing exhaustive enumeration beyond "
-            f"{max_input_bits} (pass max_input_bits to override)"
-        )
+    hint = " (pass max_input_bits to override)"
+    _refuse_beyond("input region", input_bits, max_input_bits, "exhaustive enumeration", hint)
 
 
 def _input_column(i: int, rows: int) -> int:

@@ -4,6 +4,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import pickle
+import re
 from pathlib import Path
 
 import pytest
@@ -445,6 +446,47 @@ class TestValueSemantics:
         for g in (parsed, Gate(GateKind.X, (), 0), copy.deepcopy(parsed)):
             assert not hasattr(g, "__dict__")
         assert Gate.__slots__ == ("kind", "controls", "target")
+
+
+class TestPublicConstructorsReadIndices:
+    """`Gate` takes only a `GateKind`, and `Gate` and `Circuit` read each index as a plain int or refuse it."""
+
+    @pytest.mark.parametrize("kind", ["cx", None, 1])
+    def test_gate_refuses_a_kind_that_is_not_a_gate_kind(self, kind):
+        with pytest.raises(InvalidCircuitError, match=f"^gate kind must be a GateKind, got {re.escape(repr(kind))}$"):
+            Gate(kind, (0,), 1)
+
+    @pytest.mark.parametrize(
+        "build,refused",
+        [
+            (lambda: Gate(GateKind.X, (), 1.0), "line index must be an integer, got 1.0"),
+            (lambda: Gate(GateKind.CX, ("0",), 1), "line index must be an integer, got '0'"),
+            (lambda: Gate(GateKind.CCX, (0, 1), None), "line index must be an integer, got None"),
+            (lambda: Circuit(3.0, ()), "circuit width must be an integer, got 3.0"),
+            (lambda: Circuit("3"), "circuit width must be an integer, got '3'"),
+        ],
+    )
+    def test_an_index_that_is_not_an_integer_is_refused(self, build, refused):
+        with pytest.raises(InvalidCircuitError, match=f"^{re.escape(refused)}$"):
+            build()
+
+    def test_bools_and_int_subclasses_become_plain_ints(self):
+        for gate, want in (
+            (Gate(GateKind.CX, (True,), 2), Gate(GateKind.CX, (1,), 2)),
+            (Gate(GateKind.CCX, (Line(0), True), Line(3)), Gate(GateKind.CCX, (0, 1), 3)),
+            (dataclasses.replace(Gate(GateKind.X, (), 0), target=True), Gate(GateKind.X, (), 1)),
+        ):
+            assert repr(gate) == repr(want)
+            assert {*map(type, gate.lines)} == {int}
+        for width in (True, Line(3)):
+            assert type(Circuit(width).width) is int and Circuit(width).width == width
+
+    def test_a_public_gate_serializes_and_parses_back(self):
+        gates = (Gate(GateKind.CX, (True,), 2), Gate(GateKind.CCX, (Line(0), Line(2)), 1), Gate(GateKind.X, (), Line(0)))
+        m = Machine(Circuit(Line(3), gates), InterfaceSpec(3, (0, 1, 2), (), (0, 1, 2)))
+        text = serialize(m)
+        assert text.endswith("gate cx 1 2\ngate ccx 0 2 1\ngate x 0\n") and text.startswith("width 3\n")
+        assert parse_circuit(text) == m
 
 
 # The public constructors' checks as written before Gate took slots, kept as

@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +21,7 @@ from revcirc import (
     Circuit,
     ExhaustiveBoundError,
     FunctionTable,
+    GarbageProfile,
     InterfaceSpec,
     InvalidCircuitError,
     InversionError,
@@ -697,6 +699,71 @@ class TestPassCounts:
         assert (passes, backward) == ([1], [])
         assert cli.main(["sim", "-c", path, "--backward", "-x", final]) == 0
         assert (passes, backward) == ([1], [1])
+
+
+def wide_garbage(bits: int) -> InterfaceSpec:
+    """One input line, which is the output, and `bits` lines preset to 1 and declared garbage."""
+    lines = tuple(range(1, bits + 1))
+    return InterfaceSpec(bits + 1, (0,), tuple((line, 1) for line in lines), (0,), lines)
+
+
+class TestSizeRefusals:
+    """Every size refusal is `sim._refuse_beyond`: accepted at its bound, refused one bit past it, each in its words.
+
+    Each case runs under a limit of 640 digits, which lowers both decimal bounds to 2,126 bits, so it stays cheap.
+    """
+
+    # each case's bound, how it runs with a given size and bound, and its message
+    REFUSALS = {
+        "input rows": (
+            5,
+            lambda bits, bound: truth_table(incrementer(bits), max_input_bits=bound),
+            "input region has {bits} bits; refusing exhaustive enumeration beyond {bound} (pass max_input_bits to override)",
+        ),
+        "garbage rows": (
+            5,
+            lambda bits, bound: invert_blind(copy_machine(bits, 2 * bits), 0, seed=0, max_garbage_bits=bound),
+            "garbage region has {bits} bits; refusing blind search beyond {bound}",
+        ),
+        "region in decimal": (
+            2126,
+            lambda bits, bound: cli._check_decimal(wide_garbage(bits), "input", "output", "garbage"),
+            "garbage region has {bits} bits; refusing to write its values in decimal beyond {bound}",
+        ),
+        "configuration in decimal": (
+            2126,
+            lambda bits, bound: GarbageProfile("m", 1, bits, ((1 << bits) - 1,)).digest(),
+            "a garbage configuration has {bits} bits; refusing to write it in decimal beyond {bound}",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", REFUSALS)
+    def test_accepted_at_the_bound_and_refused_one_bit_past_it(self, name):
+        bound, attempt, message = self.REFUSALS[name]
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            attempt(bound, bound)
+            refused = "^" + re.escape(message.format(bits=bound + 1, bound=bound)) + "$"
+            with pytest.raises(ExhaustiveBoundError, match=refused):
+                attempt(bound + 1, bound)
+        finally:
+            sys.set_int_max_str_digits(previous)
+
+    def test_blind_refuses_garbage_bits_before_judging_the_output(self, monkeypatch):
+        # 21 garbage bits and an output one past the 22-bit region: the size refusal comes first, with no pass.
+        m, y = copy_machine(21, 43), 1 << 22
+        passes = count_passes(monkeypatch)
+        with pytest.raises(ExhaustiveBoundError, match="^garbage region has 21 bits; refusing blind search beyond 20$"):
+            invert_blind(m, y, seed=0)
+        with pytest.raises(InvalidCircuitError, match="^output value 4194304 does not fit the 22-bit output region$"):
+            invert_blind(m, y, seed=0, max_garbage_bits=21)
+        assert passes == []
+
+    def test_only_sim_raises_it(self):
+        src = Path(revcirc.__file__).resolve().parent
+        raised = {path.name: path.read_text().count("ExhaustiveBoundError(") for path in src.glob("*.py")}
+        assert {name: count for name, count in raised.items() if count} == {"sim.py": 2}  # the class and its one raise
 
 
 def test_import_does_not_load_numpy():
