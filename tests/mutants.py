@@ -3,19 +3,19 @@
 A mutant replaces one exact text of one module of `src/revcirc` with another. Each is applied in a fresh
 temporary copy of `src/`, `tests/`, `golden/`, `docs/`, `README.md` and `pyproject.toml` (the golden tests
 read `docs/` and `README.md`), which holds no hypothesis database. Its named test files then run under
-`pytest -x -q` with a timeout, one mutant at a time. Each mutant's line says whether it was killed, and
-by which test, survived or timed out. The exit status is 1 if any mutant not marked equivalent survived
-or timed out. Only the standard library is used, and pytest does not collect this file:
+`pytest -x -q`, one mutant at a time, each run cut after TIMEOUT seconds. First, every named test file
+runs once in an unmutated copy, and the harness stops with exit 1 if that run does not pass. A mutant
+counts as killed only when pytest reports failed tests (exit 1); any other exit code is an error. Each
+mutant's line says whether it was killed, and by which test, survived, timed out or met an error. The
+exit status is 1 if any mutant met an error, or was not killed and is not marked equivalent. Only the
+standard library is used, and pytest does not collect this file:
 
-    python tests/mutants.py                 # every mutant
-    python tests/mutants.py 13 14           # mutants by number
-    python tests/mutants.py --timeout 120   # seconds per mutant (default 300)
+    python tests/mutants.py
 
 `tests/test_mutants.py` checks that each mutant's old text occurs exactly once in its module.
 """
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -27,6 +27,7 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "golden", "docs", "README.md", "pyproject.toml")
+TIMEOUT = 300  # seconds per pytest run
 
 
 class Mutant(NamedTuple):
@@ -79,7 +80,7 @@ MUTANTS = (
 )
 
 
-def _copy_tree(mutant: Mutant, into: Path) -> None:
+def _copy_tree(into: Path, mutant: Mutant | None) -> None:
     skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
     for name in COPIED:
         source = ROOT / name
@@ -87,6 +88,8 @@ def _copy_tree(mutant: Mutant, into: Path) -> None:
             shutil.copytree(source, into / name, ignore=skip)
         else:
             shutil.copy2(source, into / name)
+    if mutant is None:
+        return
     path = into / "src" / "revcirc" / mutant.module
     text = path.read_text()
     if text.count(mutant.old) != 1:
@@ -94,40 +97,50 @@ def _copy_tree(mutant: Mutant, into: Path) -> None:
     path.write_text(text.replace(mutant.old, mutant.new))
 
 
-def run(mutant: Mutant, timeout: float) -> tuple[str, str]:
-    """The mutant's outcome, "killed", "survived" or "timed out", and the killing test or the exit code."""
+def _pytest(tests: tuple[str, ...], mutant: Mutant | None = None) -> subprocess.CompletedProcess:
+    """`pytest -x -q` on `tests` in a fresh copy of the tree, with `mutant` applied if one is given."""
     with tempfile.TemporaryDirectory(prefix="revcirc-mutant-") as tmp:
-        _copy_tree(mutant, Path(tmp))
+        _copy_tree(Path(tmp), mutant)
         env = {**os.environ, "PYTHONPATH": str(Path(tmp) / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-        argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *mutant.tests]
-        try:
-            proc = subprocess.run(argv, cwd=tmp, env=env, capture_output=True, text=True, timeout=timeout)
-        except subprocess.TimeoutExpired:
-            return "timed out", f"after {timeout:g} s"
+        argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+        return subprocess.run(argv, cwd=tmp, env=env, capture_output=True, text=True, timeout=TIMEOUT)
+
+
+def run(mutant: Mutant) -> tuple[str, str]:
+    """The mutant's outcome, "killed", "survived", "timed out" or "error", and the killing test or why."""
+    try:
+        proc = _pytest(mutant.tests, mutant)
+    except subprocess.TimeoutExpired:
+        return "timed out", f"after {TIMEOUT} s"
     if proc.returncode == 0:
         return "survived", ""
+    if proc.returncode != 1:
+        return "error", f"pytest exit {proc.returncode}: {(proc.stdout + proc.stderr).strip()[-500:]}"
     failed = [line for line in proc.stdout.splitlines() if line.startswith(("FAILED ", "ERROR "))]
-    return "killed", failed[0].split(" - ")[0] if failed else f"pytest exit {proc.returncode}"
+    return "killed", failed[0].split(" - ")[0] if failed else "pytest exit 1"
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("numbers", nargs="*", type=int, help="mutants to run, counted from 1 (default: all)")
-    parser.add_argument("--timeout", type=float, default=300.0, help="seconds per mutant")
-    args = parser.parse_args(argv)
-    chosen = args.numbers or range(1, len(MUTANTS) + 1)
+def main() -> int:
     start, counts, faults = time.perf_counter(), {}, 0
-    for number in chosen:
-        mutant = MUTANTS[number - 1]
-        outcome, detail = run(mutant, args.timeout)
+    files = tuple(sorted({test for mutant in MUTANTS for test in mutant.tests}))
+    try:
+        baseline = _pytest(files)
+    except subprocess.TimeoutExpired:
+        print(f"the unmutated test files did not finish within {TIMEOUT} s", flush=True)
+        return 1
+    if baseline.returncode != 0:
+        print(f"the unmutated test files fail (pytest exit {baseline.returncode}):", flush=True)
+        print(baseline.stdout[-2000:] + baseline.stderr[-2000:], flush=True)
+        return 1
+    for number, mutant in enumerate(MUTANTS, 1):
+        outcome, detail = run(mutant)
         counts[outcome] = counts.get(outcome, 0) + 1
-        fault = outcome != "killed" and mutant.equivalent is None
-        faults += fault
+        faults += outcome == "error" or (outcome != "killed" and mutant.equivalent is None)
         note = f" (equivalent: {mutant.equivalent})" if mutant.equivalent else ""
         print(f"{number:>3} {outcome:<9} {mutant.module}: {mutant.old!r} -> {mutant.new!r}{note}", flush=True)
         print(f"      {detail or mutant.why}", flush=True)
     summary = ", ".join(f"{count} {outcome}" for outcome, count in sorted(counts.items()))
-    print(f"{len(chosen)} mutants: {summary} in {time.perf_counter() - start:.0f} s; {faults} not killed")
+    print(f"{len(MUTANTS)} mutants: {summary} in {time.perf_counter() - start:.0f} s; {faults} not killed")
     return 1 if faults else 0
 
 
