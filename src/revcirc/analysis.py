@@ -10,37 +10,24 @@ verdict about asymptotics.
 `growth_report` counts configurations by splitting each chunk's input mask
 by garbage column (`garbage_configs`), with no per-row table, so its memory
 is bounded by the chunk, not by 2^n; `garbage_profile` builds the table,
-because its report carries the per-output map.
+because its report carries the per-output map. `GarbageProfile.digest`
+refuses a configuration wider than `sim._decimal_bits()`, the bound every
+decimal writer shares.
 """
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .ir import Machine
 from .sim import EXHAUSTIVE_BOUND, RestorationViolationError, check_enumeration_bound, truth_table
-from .sim import _final_lines, _refuse_beyond, _region_values, _violation
+from .sim import _decimal_bits, _final_lines, _refuse_beyond, _region_values, _violation
 
 # garbage_configs splits at most this many row masks per chunk, then transposes
 # the chunk instead: the split costs two ANDs per mask and garbage line, so a
 # chunk reaching thousands of configurations is faster to transpose.
 _MAX_SPLIT_CONFIGS = 512
-
-# The most bits of a value `str()` writes within Python's default limit of
-# 4,300 digits: 2^14284 - 1 has 4,300 digits, 2^14285 - 1 has 4,301.
-_DECIMAL_BITS = 14284
-
-
-def _decimal_bits() -> int:
-    """The most bits of a value `str()` writes: `_DECIMAL_BITS`, or fewer under a lower digit limit.
-
-    A limit set by `PYTHONINTMAXSTRDIGITS`, `-X int_max_str_digits` or `sys.set_int_max_str_digits`
-    counts; 0 means none, and Python before 3.10.7 has no such limit.
-    """
-    limit = getattr(sys, "get_int_max_str_digits", int)()
-    return (10**limit).bit_length() - 1 if 0 < limit < 4300 else _DECIMAL_BITS
 
 
 class InsufficientPointsError(ValueError):

@@ -4,12 +4,13 @@ Every command reads/writes the .rvc format, prints a human-readable report by
 default, and a single JSON object with `--json`. Bitstrings on the command
 line are little-endian with respect to the region's declared line order: the
 leftmost character is the region's first listed line, which is bit 0 of the
-integer encoding. Every pass is one `sim._run`, except that `sim --backward`
-runs the gates back from the whole state it is given.
+integer encoding; `sim._int_to_bits` writes every such bitstring a report
+prints. Every pass is one `sim._run`, except that `sim --backward` runs the
+gates back from the whole state it is given.
 
 Exit codes: 0 success, 1 usage error, 2 invalid circuit or document,
 3 inversion failure, 4 exhaustive bound exceeded (or a region too wide for a
-report to write its values in decimal).
+report to write its values in decimal: wider than `sim._decimal_bits()`).
 
 The options several commands share (`-c/--circuit`, `-o/--output`, `--json`)
 are each declared once, as are the type of an existing document, which
@@ -44,7 +45,6 @@ import click
 
 from . import library
 from .analysis import ConformanceReport, GarbageProfile, garbage_profile, growth_report, machine_id
-from .analysis import _decimal_bits
 from .fileformat import parse_circuit, serialize
 from .invert import InversionError, invert_blind, invert_with_profile
 from .ir import InterfaceSpec, InvalidCircuitError, Machine, inverse_machine
@@ -56,7 +56,7 @@ from .sim import (
     is_injective,
     truth_table,
 )
-from .sim import _apply_gates, _held, _lane, _lane_value, _refuse_beyond, _run
+from .sim import _apply_gates, _decimal_bits, _held, _int_to_bits, _lane, _lane_value, _refuse_beyond, _run
 from .transforms import bennett, zero_garbage_compose
 
 
@@ -83,10 +83,6 @@ def _region_value(bits: str | None, value: int | None, what: str, width: int) ->
     if not 0 <= value < (1 << width):
         raise click.UsageError(f"{what.split()[0]} value {value} does not fit {width} bits")
     return value
-
-
-def _int_to_bits(value: int, width: int) -> str:
-    return format(value, f"0{width}b")[::-1] if width else ""
 
 
 # A table row as `json.dumps(indent=2)` writes it in the report's "rows" list.

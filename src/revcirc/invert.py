@@ -14,7 +14,8 @@ its declared constant; reversibility then guarantees the recovered input
 really maps to the requested output.
 
 Guesses run backward a `sim._passes` chunk at a time, with a lane per guess,
-and a guess fits where `sim._held` finds every preset line at its constant.
+and a guess fits where `sim._held` finds every preset line at its constant;
+the fit table writes each chunk's fits bit 0 first with `sim._int_to_bits`.
 `invert_blind` runs at most min(budget, 2^k) values backward: a budget of
 2^k or more runs all 2^k values once, in one `sim._passes` walk, for the set
 that fits, and reads the seeded `getrandbits(k)` draws against it (an empty
@@ -22,7 +23,8 @@ set ends the search before any draw); a smaller budget runs its draws
 themselves. Every pass and draw block holds at most 2^`sim._CHUNK_BITS`
 values, the bound every enumeration shares. Trials count single guesses. The
 accepted guess's input is read from a one-lane backward `sim._run`; nothing
-runs on single states.
+runs on single states. An output value in a message is written in decimal
+only within `sim._decimal_bits()`, the bound every decimal writer shares.
 """
 from __future__ import annotations
 
@@ -35,8 +37,8 @@ from typing import Sequence
 from .ir import InvalidCircuitError, Machine
 from . import sim
 from .sim import EXHAUSTIVE_BOUND
-from .sim import _held, _lane, _lane_value, _passes, _refuse_beyond, _run
-from .analysis import GarbageProfile, _decimal_bits
+from .sim import _decimal_bits, _held, _int_to_bits, _lane, _lane_value, _passes, _refuse_beyond, _run
+from .analysis import GarbageProfile
 
 
 class InversionError(Exception):
@@ -105,7 +107,7 @@ def _fit_table(machine: Machine, y: int) -> str:
     They go backward a `sim._passes` chunk at a time, in ascending order.
     """
     fits = ((full, _held(lines, machine.iface.preset_lines, full)) for full, lines in _passes(machine, y=y))
-    return "".join(format(fit, f"0{full.bit_length()}b")[::-1] for full, fit in fits)
+    return "".join(_int_to_bits(fit, full.bit_length()) for full, fit in fits)
 
 
 def _first_fit(machine: Machine, y: int, guesses: Sequence[int]) -> int:

@@ -12,18 +12,24 @@ hashes, copies and pickles as a value, and assigning a field raises
 is the number of leading `c`s in it.
 
 Validation happens once, where a value enters: in the public `Gate`,
-`make_gate` and `Circuit` constructors and in the parser. The public
-constructors refuse a kind that is not a `GateKind`, and read each line
-index and width through `operator.index`, so a bool or an int subclass is
-kept as its plain int and a float is refused. `inverse`,
-`concat` and `remap` (after checking its line map) build from gates already
-valid, and the trusted builders — the `library` machines and
-`transforms.copy_fanout` (after its own length, overlap and range checks) —
-build gates valid by construction. All of them go through `_trusted_gate`
-and `_trusted_circuit`, which skip `__post_init__`. Those two are private: a
-caller must have checked what `__post_init__` would. A `remap` whose map is
-the identity on the circuit's lines only widens it, so the result shares
-the circuit's Gate objects.
+`make_gate`, `Circuit` and `InterfaceSpec` constructors, in `remap` and in
+the parser. `Gate` refuses a kind that is not a `GateKind`. One integer
+rule reads every index the API takes: `_index` reads a line index, width
+or constant through `operator.index`, so a bool or an int subclass is kept
+as its plain int and anything else, a float or a string, is refused with
+`InvalidCircuitError`. `_indices` reads a tuple of them, and keeps a tuple
+of exact ints as it is after one type scan. `Gate` reads its lines,
+`Circuit` its width, `InterfaceSpec` its width and region lines and
+`_int_pairs` each preset and restored pair through them, and `remap` its
+new width and its map's image. `inverse`, `concat` and `remap` (after
+checking its line map) build from gates already valid, and the trusted
+builders — the `library` machines, `transforms.bennett`'s widening and
+`transforms.copy_fanout` (after its own length, overlap, type and range
+checks) — build gates valid by construction. All of them go through
+`_trusted_gate` and `_trusted_circuit`, which skip `__post_init__`. Those
+two are private: a caller must have checked what `__post_init__` would. A
+`remap` whose map is the identity on the circuit's lines only widens it, so
+the result shares the circuit's Gate objects.
 """
 from __future__ import annotations
 
@@ -44,6 +50,11 @@ def _index(value, what: str = "line index") -> int:
         return index(value)
     except TypeError:
         raise InvalidCircuitError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _indices(values: tuple, what: str = "line index") -> tuple[int, ...]:
+    """`values` with each read by `_index`; a tuple of exact ints is kept as it is, after one type scan."""
+    return values if {*map(type, values)} <= {int} else tuple(_index(value, what) for value in values)
 
 
 class GateKind(Enum):
@@ -73,7 +84,7 @@ class Gate:
         kind = self.kind
         if not isinstance(kind, GateKind):
             raise InvalidCircuitError(f"gate kind must be a GateKind, got {kind!r}")
-        controls = tuple(map(_index, self.controls))
+        controls = _indices(tuple(self.controls))
         _set_controls(self, controls)
         _set_target(self, target := _index(self.target))
         if len(controls) != kind.n_controls:
@@ -162,23 +173,26 @@ def remap(circuit: Circuit, line_map: Mapping[int, int], new_width: int) -> Circ
     """Relabel every line of `circuit` through `line_map` onto `new_width` lines.
 
     `line_map` must cover [0, circuit.width), be injective, and land inside
-    [0, new_width). Gate order, count, and kinds are preserved.
+    [0, new_width); `new_width` and each image line are read by `_index`.
+    Gate order, count, and kinds are preserved.
     """
-    missing = [line for line in range(circuit.width) if line not in line_map]
+    new_width = _index(new_width, "circuit width")
+    image = tuple(map(line_map.get, range(circuit.width)))  # None where a line is left out, or maps to None
+    missing = [line for line in range(circuit.width) if line not in line_map] if None in image else ()
     if missing:
         raise InvalidCircuitError(f"line map is not defined on lines {missing}")
-    image = [line_map[line] for line in range(circuit.width)]
+    image = _indices(image)
     if len(set(image)) != len(image):
         raise InvalidCircuitError("non-injective line map")
     bad = [i for i in image if not 0 <= i < new_width]
     if bad:
         raise InvalidCircuitError(f"line map image out of range [0, {new_width}): {bad}")
-    if image == list(range(circuit.width)):  # only a widening: the gates stay as they are
+    if image == tuple(range(circuit.width)):  # only a widening: the gates stay as they are
         return _trusted_circuit(new_width, circuit.gates)
     # An injective map into [0, new_width) keeps every gate's lines distinct and in range.
     # A Gate object at several positions is moved once and shared, found by `id` since
     # hashing a Gate runs the dataclass `__hash__` in Python.
-    new_line = line_map.__getitem__
+    new_line = image.__getitem__
     moved: dict[int, Gate] = {}
     gates = []
     for g in circuit.gates:
@@ -206,7 +220,7 @@ def _int_pairs(pairs: Iterable) -> tuple[tuple[tuple[int, int], ...], tuple[int,
         flat = tuple(_flat(pairs))
         if {*map(type, flat)} <= {int}:
             return pairs, flat
-    pairs = tuple((int(l), int(c)) for l, c in pairs)
+    pairs = tuple((_index(l), _index(c, "constant")) for l, c in pairs)
     return pairs, tuple(_flat(pairs))
 
 
@@ -231,11 +245,11 @@ class InterfaceSpec:
     def __post_init__(self) -> None:
         # Each check runs over whole tuples in C; only a failed one walks the
         # items, to name the first bad one.
-        object.__setattr__(self, "input_lines", tuple(self.input_lines))
+        object.__setattr__(self, "width", _index(self.width, "interface width"))
+        for region in ("input_lines", "output_lines", "garbage_lines"):
+            object.__setattr__(self, region, _indices(tuple(getattr(self, region))))
         presets, preset_flat = _int_pairs(self.preset_lines)
         object.__setattr__(self, "preset_lines", presets)
-        object.__setattr__(self, "output_lines", tuple(self.output_lines))
-        object.__setattr__(self, "garbage_lines", tuple(self.garbage_lines))
         restored, restored_flat = _int_pairs(self.restored_lines)
         object.__setattr__(self, "restored_lines", restored)
 

@@ -23,7 +23,11 @@ refused above a configurable bound so exponential work never happens by
 accident. `_refuse_beyond` raises every `ExhaustiveBoundError` of every
 module, in one message shape: the input rows of `check_enumeration_bound`,
 the garbage rows of blind search, and the regions and configurations too
-wide to write in decimal.
+wide to write in decimal. Beside it, `_decimal_bits` gives that decimal
+bound, `_DECIMAL_BITS` or fewer under a lower `str()` digit limit, for every
+report that writes a value in decimal. `_int_to_bits` is the one writer of a
+value's bits, bit 0 first: one lane's start columns in `_lane`, `invert`'s
+fit table and every bit string a report prints are read from it.
 """
 from __future__ import annotations
 
@@ -171,6 +175,21 @@ def _refuse_beyond(what: str, bits: int, bound: int, doing: str, hint: str = "")
         raise ExhaustiveBoundError(f"{what} has {bits} bits; refusing {doing} beyond {bound}{hint}")
 
 
+# The most bits of a value `str()` writes within Python's default limit of
+# 4,300 digits: 2^14284 - 1 has 4,300 digits, 2^14285 - 1 has 4,301.
+_DECIMAL_BITS = 14284
+
+
+def _decimal_bits() -> int:
+    """The most bits of a value `str()` writes: `_DECIMAL_BITS`, or fewer under a lower digit limit.
+
+    A limit set by `PYTHONINTMAXSTRDIGITS`, `-X int_max_str_digits` or `sys.set_int_max_str_digits`
+    counts; 0 means none, and Python before 3.10.7 has no such limit.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    return (10**limit).bit_length() - 1 if 0 < limit < 4300 else _DECIMAL_BITS
+
+
 def check_enumeration_bound(input_bits: int, max_input_bits: int) -> None:
     """Refuse to enumerate an input region of more than `max_input_bits` bits."""
     hint = " (pass max_input_bits to override)"
@@ -296,9 +315,14 @@ def _held(lines: Sequence[int], pairs: Iterable[tuple[int, int]], full: int) -> 
     return reduce(and_, (lines[line] if const else ~lines[line] for line, const in pairs), full)
 
 
+def _int_to_bits(value: int, width: int) -> str:
+    """The `width` bits of `value` as a string of 0/1 digits, bit 0 first: the one writer of a value's bits."""
+    return format(value, f"0{width}b")[::-1] if width else ""
+
+
 def _lane(value: int, width: int) -> list[int]:
     """The `width` bits of `value` as one lane's 0/1 columns, bit 0 first."""
-    return list(map(int, format(value, f"0{width}b")[::-1])) if width else []
+    return list(map(int, _int_to_bits(value, width)))
 
 
 def _lane_value(lines: Sequence[int], region: Sequence[int]) -> int:

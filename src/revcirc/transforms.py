@@ -16,13 +16,16 @@ Two constructions, both classical and exact:
 Both rely on the same copy gadget: a bank of controlled-NOTs writes a copy
 onto zeroed lines, and (being self-inverse) erases one of two equal copies.
 
-Both also place a machine's circuit on a wider set of lines with `remap`.
-Where the machine keeps its own line numbers, that is only a widening,
-and the wider circuit shares the original's Gate objects. `bennett` always
-widens. `zero_garbage_compose` widens each machine it runs on the input
-region when its input lines come first and its presets next, as in every
-library machine; only the inverse machine aimed at the copy lines, and
-the copy gadgets, get new gates.
+`bennett` keeps the machine's own line numbers and adds lines above them,
+so it builds the wider circuit directly on the original's Gate objects,
+valid by construction. `zero_garbage_compose` places each machine on its
+lines with `remap`, which only widens, sharing the Gate objects, where the
+machine's input lines come first and its presets next, as in every library
+machine; only the inverse machine aimed at the copy lines, and the copy
+gadgets, get new gates. `copy_fanout` builds through the trusted
+constructors only when its lines and width are exact ints in range; any
+other input goes through `Gate` and `Circuit`, which read each index as an
+int or refuse it, and name the first bad gate.
 """
 from __future__ import annotations
 
@@ -65,10 +68,10 @@ def copy_fanout(src: Sequence[int], dst: Sequence[int], width: int | None = None
     lines = src + dst
     if width is None:
         width = max(lines, default=0) + 1
-    if width < 1 or lines and not (min(lines) >= 0 and max(lines) < width):
-        # Let the validating constructors name the first bad gate.
+    if {*map(type, lines), type(width)} != {int} or not 0 <= min(lines, default=0) <= max(lines, default=0) < width:
+        # Let the validating constructors read each index and name the first bad gate.
         return Circuit(width, tuple(Gate(GateKind.CX, (s,), d) for s, d in zip(src, dst)))
-    # Disjoint source and destination lines, all in range, make every gate valid.
+    # Disjoint source and destination lines, all exact ints in range, make every gate valid.
     return _trusted_circuit(width, tuple(map(_trusted_gate, repeat(GateKind.CX), zip(src), dst)))
 
 
@@ -87,7 +90,7 @@ def bennett(machine: Machine) -> Machine:
     new_width = old_width + k
     fresh = tuple(range(old_width, new_width))
 
-    widened = remap(machine.circuit, {i: i for i in range(old_width)}, new_width)
+    widened = _trusted_circuit(new_width, machine.circuit.gates)  # its gates lie below old_width <= new_width
     copy = copy_fanout(iface.output_lines, fresh, width=new_width)
     circuit = concat(concat(widened, copy), inverse(widened))
 

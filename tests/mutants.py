@@ -41,7 +41,12 @@ class Mutant(NamedTuple):
 
 _CLASSIFIER = ("tests/test_analysis.py", "tests/test_cli.py")
 _COMPOSE = ("tests/test_sim.py", "tests/test_transforms.py")
+_DECIMAL = ("tests/test_cli.py", "tests/test_analysis.py")
+_FILEFORMAT = ("tests/test_fileformat.py",)
 _INVERT = ("tests/test_invert.py", "tests/test_cli.py")
+_IR = ("tests/test_ir.py",)
+_LIBRARY = ("tests/test_library.py",)
+_TRANSFORMS = ("tests/test_transforms.py",)
 
 MUTANTS = (
     Mutant("analysis.py", "mean_rate >= math.log(1.4)", "mean_rate >= math.log(1.6)",
@@ -65,8 +70,8 @@ MUTANTS = (
     Mutant("analysis.py", "check_enumeration_bound(machine.iface.input_width, max_input_bits)", "pass",
            "growth refuses each oversized size before any size is enumerated",
            ("tests/test_sim.py", "tests/test_analysis.py")),
-    Mutant("analysis.py", "_DECIMAL_BITS = 14284", "_DECIMAL_BITS = 14283",
-           "the widest value str() writes in decimal", ("tests/test_cli.py", "tests/test_analysis.py")),
+    Mutant("sim.py", "_DECIMAL_BITS = 14284", "_DECIMAL_BITS = 14283",
+           "the widest value str() writes in decimal", _DECIMAL),
     Mutant("cli.py", "check_enumeration_bound(bits_per_n * start, EXHAUSTIVE_BOUND)", "pass",
            "growth refuses an oversized --from before it builds the machine", ("tests/test_cli.py",)),
     Mutant("sim.py", "if bits > bound:", "if bits >= bound:",
@@ -77,6 +82,81 @@ MUTANTS = (
     Mutant("ir.py", "return index(value)", "return value",
            "a line index or width that is not an int is refused, and a bool is kept as its int",
            ("tests/test_ir.py",)),
+    # The one integer rule of `ir`: every index the public constructors take is read by `_index`.
+    Mutant("ir.py", "return values if {*map(type, values)} <= {int} else", "return values if True else",
+           "a tuple of indices that holds a bool or a float is read one index at a time", _IR),
+    Mutant("ir.py", '_index(c, "constant")', "int(c)",
+           "a preset or restored constant that is not an int is refused, not truncated", _IR),
+    Mutant("ir.py", 'object.__setattr__(self, "width", _index(self.width, "interface width"))', "pass",
+           "an interface width that is not an int is refused before it reaches a document", _IR),
+    Mutant("ir.py", 'new_width = _index(new_width, "circuit width")', "pass",
+           "remap refuses a new width that is not an int", _IR),
+    Mutant("ir.py", "new_line = image.__getitem__", "new_line = line_map.__getitem__",
+           "remap builds its gates from the image read as ints, not from the map as given", _IR),
+    Mutant("transforms.py", "{*map(type, lines), type(width)} != {int} or ", "",
+           "copy_fanout takes its trusted path only for exact-int lines and width", _TRANSFORMS),
+    # The parser's fast path and its walker, each against the reference parser.
+    Mutant("fileformat.py", "if a == b or a == t or b == t:", "if a == b or a == t:",
+           "a Toffoli whose second control is its target is refused", _FILEFORMAT),
+    Mutant("fileformat.py", "if top >= width:", "if top > width:",
+           "a gate on the line numbered `width` is out of range", _FILEFORMAT),
+    Mutant("fileformat.py", "if len(widths) != 1 or widths[0] < 1:", "if len(widths) != 1 or widths[0] < 0:",
+           "width 0 is refused by the fast path", _FILEFORMAT,
+           "`_gate_block` starts `top` at 0, so under width 0 it refuses every gate block, an empty one too, "
+           "and the walker then names the width as it does for the unmutated check"),
+    Mutant("fileformat.py", "if width is not None and line >= width:", "if width is not None and line > width:",
+           "the walker names a gate line at exactly `width` as out of range", _FILEFORMAT),
+    Mutant("fileformat.py", '_BIT = {"=0": 0, "=1": 1}', '_BIT = {"=0": 0, "=1": 1, "=2": 1}',
+           "a LINE=BIT word takes only the bits 0 and 1", _FILEFORMAT),
+    Mutant("fileformat.py", 'plain = chars.isascii() and not ("-" in chars or "+" in chars or "_" in chars)',
+           'plain = chars.isascii() and not ("-" in chars or "+" in chars)',
+           "a word with `_`, which int() reads, is not taken as a plain index", _FILEFORMAT),
+    Mutant("fileformat.py", 'lines = [raw.partition("#")[0] if "#" in raw else raw for raw in lines]',
+           'lines = [raw.partition("#")[0] if raw.startswith("#") else raw for raw in lines]',
+           "a comment is cut wherever its `#` stands on the line", _FILEFORMAT),
+    Mutant("fileformat.py", "if len(set(lines)) != arity:", "if False:",
+           "the walker names a gate line that lists a line twice", _FILEFORMAT),
+    Mutant("fileformat.py", "_SLICE = 4096", "_SLICE = 1",
+           "serialize joins its gate lines in slices, so it never holds one string per gate line", _FILEFORMAT),
+    # The library machines, each against its closed-form oracle.
+    Mutant("library.py", "for i in range(2, n - 1):", "for i in range(2, n - 2):",
+           "the incrementer's carry chain reaches its last carry line", _LIBRARY),
+    Mutant("library.py", "if i < n - 1:", "if i < n - 2:",
+           "the adder computes a carry out of every position but the top one", _LIBRARY),
+    Mutant("library.py", "concat(concat(wrap, inc.circuit), wrap)", "concat(wrap, inc.circuit)",
+           "the decrementer complements its register again after the increment", _LIBRARY),
+    # The evaluation core, the bit order and the decimal bound.
+    Mutant("sim.py", "_CHUNK_BITS = 14", "_CHUNK_BITS = 13",
+           "every chunked pass covers at most 2^14 values", ("tests/test_sim.py", "tests/test_invert.py")),
+    Mutant("sim.py", 'return format(value, f"0{width}b")[::-1] if width else ""',
+           'return format(value, f"0{width}b") if width else ""',
+           "a value's bits are written bit 0 first", ("tests/test_sim.py",)),
+    Mutant("sim.py", "0 < limit < 4300", "0 < limit <= 4300",
+           "a digit limit at or above the default leaves the decimal bound at 14,284 bits", _DECIMAL,
+           "at a limit of 4,300 digits, (10**4300).bit_length() - 1 is 14,284, the value of `_DECIMAL_BITS`"),
+    Mutant("sim.py", "size = 1 << (groups - 1).bit_length() if groups <= 8 else groups",
+           "size = 1 << (groups - 1).bit_length() if groups <= 4 else groups",
+           "a region of 33 to 64 lines is read back as one array of 8-byte words", ("tests/test_sim.py",)),
+    Mutant("sim.py", "x = chunk * full.bit_length() + lane.bit_length() - 1",
+           "x = chunk * full.bit_length() + lane.bit_length()",
+           "a restored-line violation names the lowest failing input", ("tests/test_sim.py",)),
+    # The reports, the profile and the inversions built on the core.
+    Mutant("cli.py", 'if len(bits) != width or bits.strip("01"):', "if len(bits) != width:",
+           "-x/-y bits other than 0 and 1 are a usage error", ("tests/test_cli.py",)),
+    Mutant("cli.py", "if not 0 <= value < (1 << width):", "if not 0 <= value <= (1 << width):",
+           "an --int value of 2^width does not fit the region", ("tests/test_cli.py",)),
+    Mutant("analysis.py", "_MAX_SPLIT_CONFIGS = 512", "_MAX_SPLIT_CONFIGS = 0",
+           "garbage_configs splits masks up to its cap and transposes only past it", ("tests/test_analysis.py",)),
+    Mutant("analysis.py", 'body = f"{self.garbage_bits}:"', 'body = f"{self.garbage_bits},"',
+           "the configuration digest keeps the value every report and record holds", ("tests/test_analysis.py",)),
+    Mutant("invert.py", "return done + (fits & -fits).bit_length() - 1", "return done + (fits & -fits).bit_length()",
+           "the first guess that fits is the one accepted", _INVERT),
+    Mutant("invert.py", "done += full.bit_length()", "done += full.bit_length() - 1",
+           "a guess past the first draw block is counted at its own index", _INVERT),
+    Mutant("transforms.py", "restored_lines=iface.preset_lines,", "restored_lines=(),",
+           "bennett declares every original preset restored", _TRANSFORMS),
+    Mutant("transforms.py", "if f_consts[j] != g_consts[j]", "if f_consts[j] == g_consts[j]",
+           "the composed machine flips exactly the scratch constants the two machines disagree on", _COMPOSE),
 )
 
 

@@ -39,7 +39,8 @@ from revcirc import (
     truth_table,
     zero_garbage_compose,
 )
-from revcirc.analysis import _DECIMAL_BITS, ClauseResult
+from revcirc.analysis import ClauseResult
+from revcirc.sim import _DECIMAL_BITS
 from conftest import CLASSIFY_GROWTH_CALLS, classified_or_refused, reference_classify_growth, reference_growth_outcome
 from conftest import CLASSIFIER_EDGES, late_liar, machines
 
@@ -302,6 +303,19 @@ class TestGarbageConfigs:
         want = table_configs(m)
         monkeypatch.setattr(sim, "_CHUNK_BITS", 9)
         assert garbage_configs(m) == want
+
+    @pytest.mark.parametrize(
+        "m,transposed",
+        [(incrementer(16), 0), (ripple_adder(9), 0), (bennett(incrementer(10)), 1)],
+        ids=["incr16", "adder9", "bennett-incr10"],
+    )
+    def test_masks_are_split_up_to_the_cap_and_transposed_past_it(self, monkeypatch, m, transposed):
+        # ripple_adder(9) reaches exactly 256 configurations per chunk, the most the split keeps splitting;
+        # bennett(incrementer(10))'s one chunk reaches 1024, so it is transposed once.
+        calls = []
+        monkeypatch.setattr(analysis, "_region_values", lambda *args: calls.append(1) or sim._region_values(*args))
+        assert garbage_configs(m) == table_configs(m)
+        assert len(calls) == transposed
 
     @pytest.mark.parametrize("chunk_bits", [sim._CHUNK_BITS, 0, 1, 2])
     @pytest.mark.parametrize("tie", [False, True])

@@ -44,8 +44,9 @@ from revcirc import (
     truth_table,
     zero_garbage_compose,
 )
-from revcirc.analysis import _DECIMAL_BITS, _decimal_bits, machine_id
+from revcirc.analysis import machine_id
 from revcirc.cli import _FAMILIES, _ROW, _Json, _dumps, _int_to_bits, _repeated, main
+from revcirc.sim import _DECIMAL_BITS, _decimal_bits
 
 from conftest import CLASSIFIER_EDGES, assert_same_text, machines, small_machine_roster
 from transcripts.make_corpus import CORPUS

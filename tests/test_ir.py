@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import operator
 import pickle
 import re
 from pathlib import Path
@@ -168,18 +169,27 @@ class TestRemap:
         assert all(new is old for new, old in zip(gates[::-1], m.circuit.gates))
 
 
+def read_index(value, what: str = "line index") -> int:
+    """One index read by `operator.index`, as `Gate` reads each of its lines, or refused."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidCircuitError(f"{what} must be an integer, got {value!r}") from None
+
+
 def reference_remap(circuit: Circuit, line_map, new_width: int) -> Circuit:
-    """`remap` as written before an identity map shared its gates."""
+    """`remap` as written before an identity map shared its gates, reading each index one at a time."""
+    new_width = read_index(new_width, "circuit width")
     missing = [line for line in range(circuit.width) if line not in line_map]
     if missing:
         raise InvalidCircuitError(f"line map is not defined on lines {missing}")
-    image = [line_map[line] for line in range(circuit.width)]
+    image = [read_index(line_map[line]) for line in range(circuit.width)]
     if len(set(image)) != len(image):
         raise InvalidCircuitError("non-injective line map")
     bad = [i for i in image if not 0 <= i < new_width]
     if bad:
         raise InvalidCircuitError(f"line map image out of range [0, {new_width}): {bad}")
-    new_line = line_map.__getitem__
+    new_line = image.__getitem__
     gates = tuple(
         _trusted_gate(g.kind, tuple(map(new_line, g.controls)), new_line(g.target))
         for g in circuit.gates
@@ -520,12 +530,17 @@ def reference_circuit(width: int, gates) -> Circuit:
 
 
 def reference_interface(width, input_lines, preset_lines, output_lines, garbage_lines, restored_lines):
-    """The field values InterfaceSpec must hold for these arguments, or its error."""
-    input_lines = tuple(input_lines)
-    preset_lines = tuple((int(l), int(c)) for l, c in preset_lines)
-    output_lines = tuple(output_lines)
-    garbage_lines = tuple(garbage_lines)
-    restored_lines = tuple((int(l), int(c)) for l, c in restored_lines)
+    """The field values InterfaceSpec must hold for these arguments, or its error.
+
+    Each index is read one at a time, in this order: the width, the input, output and garbage lines,
+    and then each preset and restored pair's line and constant.
+    """
+    width = read_index(width, "interface width")
+    input_lines, output_lines, garbage_lines = (
+        tuple(map(read_index, lines)) for lines in (input_lines, output_lines, garbage_lines)
+    )
+    preset_lines = tuple((read_index(l), read_index(c, "constant")) for l, c in preset_lines)
+    restored_lines = tuple((read_index(l), read_index(c, "constant")) for l, c in restored_lines)
     for line, const in preset_lines + restored_lines:
         if const not in (0, 1):
             raise InvalidCircuitError(f"constant for line {line} must be 0 or 1, got {const}")
@@ -735,3 +750,109 @@ class TestChecksMatchReference:
     @given(retyped_declarations())
     def test_interface_retyped(self, args):
         assert fields_or_error(InterfaceSpec, args) == fields_or_error(reference_interface, args)
+
+
+def retyped(value):
+    """A strategy for `value` as itself, a bool, an int subclass, a float or a string."""
+    forms = [st.just(value), st.just(Line(value)), st.just(float(value)), st.just(str(value))]
+    return st.one_of(*forms, *([st.just(bool(value))] if value in (0, 1) else []))
+
+
+@st.composite
+def retyped_regions(draw):
+    """role_declarations() with the width and each region line kept, or given as another type."""
+    args = list(draw(role_declarations()))
+    if draw(st.booleans()):
+        args[0] = draw(retyped(args[0]))
+    for i in (1, 3, 4):
+        args[i] = tuple(draw(retyped(line)) if draw(st.booleans()) else line for line in args[i])
+    return tuple(args)
+
+
+@st.composite
+def retyped_maps(draw):
+    """line_maps() with the new width and each image line kept, or given as another type."""
+    c, line_map, new_width = draw(line_maps())
+    line_map = {line: draw(retyped(to)) if draw(st.booleans()) else to for line, to in line_map.items()}
+    return c, line_map, draw(retyped(new_width)) if draw(st.booleans()) else new_width
+
+
+class TestIndicesAreReadAsInts:
+    """`InterfaceSpec` and `remap` read every index as `Gate` and `Circuit` do: a bool or an int
+    subclass as its plain int, anything else refused with `InvalidCircuitError`."""
+
+    @pytest.mark.parametrize(
+        "args,refused",
+        [
+            ((3, (0, 1.0, 2), (), (0, 1, 2)), "line index must be an integer, got 1.0"),
+            ((3, (0, 1, 2), (), (0, 1, 2.0)), "line index must be an integer, got 2.0"),
+            ((3, (0, 1, 2), (), (0,), ("1", 2)), "line index must be an integer, got '1'"),
+            ((2.0, (0, 1), (), (0, 1)), "interface width must be an integer, got 2.0"),
+            ((2, (0,), ((1.7, 0),), (0, 1)), "line index must be an integer, got 1.7"),
+            ((2, (0,), (("1", 0),), (0, 1)), "line index must be an integer, got '1'"),
+            ((2, (0,), ((1, "0"),), (0, 1)), "constant must be an integer, got '0'"),
+            ((2, (0,), ((1, 0),), (0,), (), ((1, 0.0),)), "constant must be an integer, got 0.0"),
+        ],
+    )
+    def test_interface_refuses_an_index_that_is_not_an_integer(self, args, refused):
+        args += ((),) * (6 - len(args))
+        with pytest.raises(InvalidCircuitError, match=f"^{re.escape(refused)}$"):
+            InterfaceSpec(*args)
+        assert fields_or_error(reference_interface, args) == (InvalidCircuitError, refused)
+
+    def test_interface_reads_bools_and_int_subclasses_as_plain_ints(self):
+        args = (Line(4), (True, Line(0), 2), ((Line(3), True),), (0, 1, 2), (), ((Line(3), Line(1)),))
+        iface = InterfaceSpec(*args)
+        fields = tuple(getattr(iface, f.name) for f in dataclasses.fields(iface))
+        assert repr(fields) == repr((4, (1, 0, 2), ((3, 1),), (0, 1, 2), (), ((3, 1),)))
+        assert fields_or_error(InterfaceSpec, args) == fields_or_error(reference_interface, args)
+
+    def test_a_bool_line_serializes_as_its_int_and_parses_back(self):
+        iface = InterfaceSpec(3, (0, True, 2), (), (0, 1, 2))
+        m = Machine(Circuit(3, (Gate(GateKind.CX, (0,), 1),)), iface)
+        assert serialize(m) == "width 3\ninput 0 1 2\noutput 0 1 2\ngate cx 0 1\n"
+        assert parse_circuit(serialize(m)) == m
+
+    def test_exact_int_regions_are_kept_as_given(self):
+        args = large_declaration()
+        iface = InterfaceSpec(*args)
+        assert iface.input_lines is args[1] and iface.output_lines is args[3]
+
+    @pytest.mark.parametrize(
+        "line_map,new_width,refused",
+        [
+            ({0: 1.0, 1: 0.0}, 2, "line index must be an integer, got 1.0"),
+            ({0: 0, 1: "1"}, 2, "line index must be an integer, got '1'"),
+            ({0: 0, 1: 1}, 2.5, "circuit width must be an integer, got 2.5"),
+            ({0: 0, 1: 1}, 2.0, "circuit width must be an integer, got 2.0"),
+        ],
+    )
+    def test_remap_refuses_an_index_that_is_not_an_integer(self, line_map, new_width, refused):
+        c = Circuit(2, (Gate(GateKind.CX, (0,), 1),))
+        for build in (remap, reference_remap):
+            with pytest.raises(InvalidCircuitError, match=f"^{re.escape(refused)}$"):
+                build(c, line_map, new_width)
+
+    def test_remap_reads_bools_and_int_subclasses_as_plain_ints(self):
+        c = Circuit(2, (Gate(GateKind.CX, (0,), 1), Gate(GateKind.X, (), 0)))
+        for line_map, new_width in (({0: True, 1: False}, 2), ({0: Line(2), 1: Line(0)}, Line(3)), ({0: 0, 1: 1}, True)):
+            got = built_or_refused(remap, c, line_map, new_width)
+            assert got == built_or_refused(reference_remap, c, line_map, new_width)
+            if isinstance(got, Circuit):
+                assert {*map(type, (got.width, *(line for g in got.gates for line in g.lines)))} == {int}
+        assert remap(c, {0: True, 1: False}, 2).gates == (Gate(GateKind.CX, (1,), 0), Gate(GateKind.X, (), 1))
+        with pytest.raises(InvalidCircuitError, match=re.escape("out of range [0, 1): [1]")):
+            remap(c, {0: 0, 1: 1}, True)  # a width of True is 1
+
+    @given(retyped_regions())
+    @example((2.0, (0, 1), (), (0, 1), (), ()))
+    @example((2, (0, 1.0), ((5, 2),), (0, 1), (), ()))  # the region line is read before the pair
+    def test_interface_matches_reference(self, args):
+        assert fields_or_error(InterfaceSpec, args) == fields_or_error(reference_interface, args)
+
+    @given(retyped_maps())
+    @example((Circuit(2), {0: 0.0, 1: 0}, 2))  # read before the non-injective check
+    @example((Circuit(2), {0: 0}, 2.0))  # the width is read before the missing check
+    @example((Circuit(2), {0: None, 1: 0}, 2))  # a line mapped to None is not missing, but refused
+    def test_remap_matches_reference(self, args):
+        assert built_or_refused(remap, *args) == built_or_refused(reference_remap, *args)

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import re
 
 import pytest
 from unittest import mock
@@ -27,7 +28,9 @@ from revcirc import (
     garbage_profile,
     incrementer,
     initial_state,
+    inverse,
     make_gate,
+    remap,
     ripple_adder,
     run,
     serialize,
@@ -64,6 +67,36 @@ class TestCopyFanout:
     def test_overlap_rejected(self):
         with pytest.raises(InvalidCircuitError, match="overlap"):
             copy_fanout([0], [0])
+
+    @pytest.mark.parametrize(
+        "src,dst,width,refused",
+        [
+            ((0,), (1.5,), None, "line index must be an integer, got 1.5"),
+            ((0.0,), (2.0,), 3, "line index must be an integer, got 0.0"),
+            ((0, 1), (2, "3"), 4, "line index must be an integer, got '3'"),
+            ((0,), (1,), 2.0, "circuit width must be an integer, got 2.0"),
+            ((0,), (1,), "2", "circuit width must be an integer, got '2'"),
+        ],
+    )
+    def test_an_index_that_is_not_an_integer_is_refused(self, src, dst, width, refused):
+        for build in (copy_fanout, reference_copy_fanout):
+            with pytest.raises(InvalidCircuitError, match=f"^{re.escape(refused)}$"):
+                build(src, dst, width)
+
+    def test_bools_and_int_subclasses_become_plain_ints(self):
+        class Line(int):
+            pass
+
+        for src, dst, width in (((True,), (2,), 3), ((Line(0),), (Line(1),), None), ((0,), (1,), Line(2))):
+            got = copy_fanout(src, dst, width)
+            assert got == reference_copy_fanout(src, dst, width)
+            assert {*map(type, (got.width, *got.gates[0].lines))} == {int}
+        assert copy_fanout((True,), (2,), 3).gates == (Gate(GateKind.CX, (1,), 2),)
+
+    def test_refuses_in_the_order_of_the_reference(self):
+        # length, then overlap, then each gate's lines in gate order, then the width
+        for args in (((0.5,), (1, 2), 3), ((1.0,), (1,), 3), ((0, 1.5), (2.5, 3), 4), ((0,), (1.5,), 2.5)):
+            assert built_or_refused(copy_fanout, *args) == built_or_refused(reference_copy_fanout, *args)
 
 
 class TestBennett:
@@ -108,6 +141,17 @@ class TestBennett:
         m = incrementer(4)
         bm = bennett(m)
         assert len(bm.circuit) == 2 * len(m.circuit) + m.iface.output_width
+
+    def test_widens_as_the_identity_remap_did(self, roster):
+        # The circuit built through an identity `remap`, as bennett once did: equal, and with the same bytes.
+        for name, m in roster:
+            old, k = m.iface.width, m.iface.output_width
+            widened = remap(m.circuit, {i: i for i in range(old)}, old + k)
+            copy = copy_fanout(m.iface.output_lines, range(old, old + k), old + k)
+            circuit = Circuit(old + k, widened.gates + copy.gates + inverse(widened).gates)
+            bm = bennett(m)
+            assert bm.circuit == circuit, name
+            assert serialize(bm) == serialize(Machine(circuit, bm.iface)), name
 
 
 class TestZeroGarbageCompose:
