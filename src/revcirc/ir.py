@@ -17,14 +17,16 @@ the parser. `Gate` refuses a kind that is not a `GateKind`. One integer
 rule reads every index the API takes: `_index` reads a line index, width
 or constant through `operator.index`, so a bool or an int subclass is kept
 as its plain int and anything else, a float or a string, is refused with
-`InvalidCircuitError`. `_indices` reads a tuple of them, and keeps a tuple
-of exact ints as it is after one type scan. `Gate` reads its lines,
+`InvalidCircuitError`. `_exact_ints` is the one type scan that lets a
+tuple of exact ints through unread: `_indices` reads a tuple of line
+indices with it, and `_int_pairs` its pairs. `Gate` reads its lines,
 `Circuit` its width, `InterfaceSpec` its width and region lines and
 `_int_pairs` each preset and restored pair through them, and `remap` its
-new width and its map's image. `inverse`, `concat` and `remap` (after
+new width and its map's image, and `transforms.copy_fanout` its lines and
+width. `inverse`, `concat` and `remap` (after
 checking its line map) build from gates already valid, and the trusted
 builders — the `library` machines, `transforms.bennett`'s widening and
-`transforms.copy_fanout` (after its own length, overlap, type and range
+`transforms.copy_fanout` (after its own length, overlap and range
 checks) — build gates valid by construction. All of them go through
 `_trusted_gate` and `_trusted_circuit`, which skip `__post_init__`. Those
 two are private: a caller must have checked what `__post_init__` would. A
@@ -52,9 +54,14 @@ def _index(value, what: str = "line index") -> int:
         raise InvalidCircuitError(f"{what} must be an integer, got {value!r}") from None
 
 
-def _indices(values: tuple, what: str = "line index") -> tuple[int, ...]:
-    """`values` with each read by `_index`; a tuple of exact ints is kept as it is, after one type scan."""
-    return values if {*map(type, values)} <= {int} else tuple(_index(value, what) for value in values)
+def _exact_ints(values: tuple) -> bool:
+    """Whether every value is an exact int, by one type scan in C."""
+    return {*map(type, values)} <= {int}
+
+
+def _indices(values: tuple) -> tuple[int, ...]:
+    """`values` with each line index read by `_index`; a tuple of exact ints is kept as it is."""
+    return values if _exact_ints(values) else tuple(map(_index, values))
 
 
 class GateKind(Enum):
@@ -218,7 +225,7 @@ def _int_pairs(pairs: Iterable) -> tuple[tuple[tuple[int, int], ...], tuple[int,
     pairs = tuple(pairs)
     if {*map(type, pairs)} <= {tuple} and {*map(len, pairs)} <= {2}:
         flat = tuple(_flat(pairs))
-        if {*map(type, flat)} <= {int}:
+        if _exact_ints(flat):
             return pairs, flat
     pairs = tuple((_index(l), _index(c, "constant")) for l, c in pairs)
     return pairs, tuple(_flat(pairs))

@@ -22,10 +22,10 @@ valid by construction. `zero_garbage_compose` places each machine on its
 lines with `remap`, which only widens, sharing the Gate objects, where the
 machine's input lines come first and its presets next, as in every library
 machine; only the inverse machine aimed at the copy lines, and the copy
-gadgets, get new gates. `copy_fanout` builds through the trusted
-constructors only when its lines and width are exact ints in range; any
-other input goes through `Gate` and `Circuit`, which read each index as an
-int or refuse it, and name the first bad gate.
+gadgets, get new gates. `copy_fanout` reads its lines, sources first, and
+then its width by `ir`'s integer rule, and builds through the trusted
+constructors when they are in range; otherwise `Gate` and `Circuit` name
+the first bad gate, or the width.
 """
 from __future__ import annotations
 
@@ -44,7 +44,7 @@ from .ir import (
     inverse,
     remap,
 )
-from .ir import _trusted_circuit, _trusted_gate
+from .ir import _index, _indices, _trusted_circuit, _trusted_gate
 from .sim import EXHAUSTIVE_BOUND
 from .sim import _lane, _lane_value, _run, _violation
 
@@ -65,13 +65,13 @@ def copy_fanout(src: Sequence[int], dst: Sequence[int], width: int | None = None
         raise InvalidCircuitError(f"source has {len(src)} lines, destination {len(dst)}")
     if set(src) & set(dst):
         raise InvalidCircuitError(f"source and destination overlap on {sorted(set(src) & set(dst))}")
+    src, dst = _indices(src), _indices(dst)
     lines = src + dst
-    if width is None:
-        width = max(lines, default=0) + 1
-    if {*map(type, lines), type(width)} != {int} or not 0 <= min(lines, default=0) <= max(lines, default=0) < width:
-        # Let the validating constructors read each index and name the first bad gate.
+    width = max(lines, default=0) + 1 if width is None else _index(width, "circuit width")
+    if not 0 <= min(lines, default=0) <= max(lines, default=0) < width:
+        # Let the validating constructors name the first bad gate, or the width.
         return Circuit(width, tuple(Gate(GateKind.CX, (s,), d) for s, d in zip(src, dst)))
-    # Disjoint source and destination lines, all exact ints in range, make every gate valid.
+    # Disjoint source and destination lines, all in range, make every gate valid.
     return _trusted_circuit(width, tuple(map(_trusted_gate, repeat(GateKind.CX), zip(src), dst)))
 
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from revcirc import (
     GateKind,
     InsufficientPointsError,
     InterfaceSpec,
+    InvalidCircuitError,
     Machine,
     NotInversePairError,
     analysis,
@@ -144,6 +146,14 @@ def small_machine_roster() -> list[tuple[str, Machine]]:
 @pytest.fixture(scope="session")
 def roster() -> list[tuple[str, Machine]]:
     return small_machine_roster()
+
+
+def read_index(value, what: str = "line index") -> int:
+    """One index read by `operator.index`, as `Gate` reads each of its lines, or refused."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidCircuitError(f"{what} must be an integer, got {value!r}") from None
 
 
 def reference_check_inverse_pair(mf: Machine, mfinv: Machine, max_input_bits: int) -> None:

@@ -83,7 +83,7 @@ MUTANTS = (
            "a line index or width that is not an int is refused, and a bool is kept as its int",
            ("tests/test_ir.py",)),
     # The one integer rule of `ir`: every index the public constructors take is read by `_index`.
-    Mutant("ir.py", "return values if {*map(type, values)} <= {int} else", "return values if True else",
+    Mutant("ir.py", "return {*map(type, values)} <= {int}", "return True",
            "a tuple of indices that holds a bool or a float is read one index at a time", _IR),
     Mutant("ir.py", '_index(c, "constant")', "int(c)",
            "a preset or restored constant that is not an int is refused, not truncated", _IR),
@@ -93,8 +93,10 @@ MUTANTS = (
            "remap refuses a new width that is not an int", _IR),
     Mutant("ir.py", "new_line = image.__getitem__", "new_line = line_map.__getitem__",
            "remap builds its gates from the image read as ints, not from the map as given", _IR),
-    Mutant("transforms.py", "{*map(type, lines), type(width)} != {int} or ", "",
-           "copy_fanout takes its trusted path only for exact-int lines and width", _TRANSFORMS),
+    Mutant("transforms.py", "src, dst = _indices(src), _indices(dst)", "pass",
+           "copy_fanout reads its lines as ints before it builds or sizes anything", _TRANSFORMS),
+    Mutant("transforms.py", 'else _index(width, "circuit width")', "else width",
+           "copy_fanout reads a width it is given as an int", _TRANSFORMS),
     # The parser's fast path and its walker, each against the reference parser.
     Mutant("fileformat.py", "if a == b or a == t or b == t:", "if a == b or a == t:",
            "a Toffoli whose second control is its target is refused", _FILEFORMAT),

@@ -35,7 +35,7 @@ from revcirc import (
     zero_garbage_compose,
 )
 from revcirc.ir import _trusted_circuit, _trusted_gate
-from conftest import circuits, machines
+from conftest import circuits, machines, read_index
 
 GOLDEN = Path(__file__).resolve().parent.parent / "golden"
 
@@ -167,14 +167,6 @@ class TestRemap:
         gates = bennett(m).circuit.gates
         assert all(new is old for new, old in zip(gates, m.circuit.gates))
         assert all(new is old for new, old in zip(gates[::-1], m.circuit.gates))
-
-
-def read_index(value, what: str = "line index") -> int:
-    """One index read by `operator.index`, as `Gate` reads each of its lines, or refused."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InvalidCircuitError(f"{what} must be an integer, got {value!r}") from None
 
 
 def reference_remap(circuit: Circuit, line_map, new_width: int) -> Circuit:

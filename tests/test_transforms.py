@@ -39,7 +39,7 @@ from revcirc import (
     zero_garbage_compose,
 )
 
-from conftest import reference_check_inverse_pair
+from conftest import read_index, reference_check_inverse_pair
 
 
 class TestCopyFanout:
@@ -76,6 +76,8 @@ class TestCopyFanout:
             ((0, 1), (2, "3"), 4, "line index must be an integer, got '3'"),
             ((0,), (1,), 2.0, "circuit width must be an integer, got 2.0"),
             ((0,), (1,), "2", "circuit width must be an integer, got '2'"),
+            (("0",), (1,), None, "line index must be an integer, got '0'"),
+            ((0,), ("1",), None, "line index must be an integer, got '1'"),
         ],
     )
     def test_an_index_that_is_not_an_integer_is_refused(self, src, dst, width, refused):
@@ -94,8 +96,29 @@ class TestCopyFanout:
         assert copy_fanout((True,), (2,), 3).gates == (Gate(GateKind.CX, (1,), 2),)
 
     def test_refuses_in_the_order_of_the_reference(self):
-        # length, then overlap, then each gate's lines in gate order, then the width
-        for args in (((0.5,), (1, 2), 3), ((1.0,), (1,), 3), ((0, 1.5), (2.5, 3), 4), ((0,), (1.5,), 2.5)):
+        # length, then overlap, then every line read, sources first, then the width read,
+        # then each gate in gate order, then the width's sign and each gate's range
+        cases = (
+            ((0.5,), (1, 2), 3),
+            ((1.0,), (1,), 3),
+            ((0, 1.5), (2.5, 3), 4),
+            ((0,), (1.5,), 2.5),
+            ((-1, 1.5), (2, 3), 4),
+            ((-1,), (1,), 2.5),
+            ((-1,), (1,), 0),
+            ((0, 5), (1, 2), 0),
+        )
+        assert [built_or_refused(copy_fanout, *args) for args in cases] == [
+            (InvalidCircuitError, "source has 1 lines, destination 2"),
+            (InvalidCircuitError, "source and destination overlap on [1]"),
+            (InvalidCircuitError, "line index must be an integer, got 1.5"),
+            (InvalidCircuitError, "line index must be an integer, got 1.5"),
+            (InvalidCircuitError, "line index must be an integer, got 1.5"),
+            (InvalidCircuitError, "circuit width must be an integer, got 2.5"),
+            (InvalidCircuitError, "negative line index in gate: (-1, 1)"),
+            (InvalidCircuitError, "circuit width must be positive"),
+        ]
+        for args in cases:
             assert built_or_refused(copy_fanout, *args) == built_or_refused(reference_copy_fanout, *args)
 
 
@@ -348,15 +371,16 @@ class TestComposedCheckMatchesReference:
 
 
 def reference_copy_fanout(src, dst, width=None) -> Circuit:
-    """`copy_fanout` as written before it built through the trusted constructors."""
+    """`copy_fanout` as written before it built through the trusted constructors, reading each index one at a time."""
     src = tuple(src)
     dst = tuple(dst)
     if len(src) != len(dst):
         raise InvalidCircuitError(f"source has {len(src)} lines, destination {len(dst)}")
     if set(src) & set(dst):
         raise InvalidCircuitError(f"source and destination overlap on {sorted(set(src) & set(dst))}")
-    if width is None:
-        width = max(src + dst, default=0) + 1
+    src = tuple(map(read_index, src))
+    dst = tuple(map(read_index, dst))
+    width = max(src + dst, default=0) + 1 if width is None else read_index(width, "circuit width")
     gates = tuple(Gate(GateKind.CX, (s,), d) for s, d in zip(src, dst))
     return Circuit(width, gates)
 
