@@ -9,10 +9,11 @@ verdict about asymptotics.
 
 `growth_report` counts configurations by splitting each chunk's input mask
 by garbage column (`garbage_configs`), with no per-row table, so its memory
-is bounded by the chunk, not by 2^n; `garbage_profile` builds the table,
-because its report carries the per-output map. `GarbageProfile.digest`
-refuses a configuration wider than `sim._decimal_bits()`, the bound every
-decimal writer shares.
+is bounded by the chunk, not by 2^n; a chunk that splits into too many masks
+is read with `sim._transpose`, the one transpose. `garbage_profile` builds
+the table, because its report carries the per-output map.
+`GarbageProfile.digest` refuses a configuration wider than
+`sim._decimal_bits()`, the bound every decimal writer shares.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from typing import Callable, Sequence
 
 from .ir import Machine
 from .sim import EXHAUSTIVE_BOUND, RestorationViolationError, check_enumeration_bound, truth_table
-from .sim import _decimal_bits, _final_lines, _refuse_beyond, _region_values, _violation
+from .sim import _decimal_bits, _final_lines, _refuse_beyond, _transpose, _violation
 
 # garbage_configs splits at most this many row masks per chunk, then transposes
 # the chunk instead: the split costs two ANDs per mask and garbage line, so a
@@ -203,7 +204,7 @@ def garbage_configs(machine: Machine, max_input_bits: int = EXHAUSTIVE_BOUND) ->
 
     In each chunk of inputs, each configuration keeps the mask of the inputs reaching it, and each
     garbage line splits every mask by its 0 and 1 rows. Past `_MAX_SPLIT_CONFIGS` masks it transposes
-    the chunk instead. The result is the union over the chunks.
+    the chunk with `_transpose` instead. The result is the union over the chunks.
     """
     configs: set[int] = set()
     for full, lines in _final_lines(machine, max_input_bits):
@@ -211,7 +212,7 @@ def garbage_configs(machine: Machine, max_input_bits: int = EXHAUSTIVE_BOUND) ->
         masks = {0: full}
         for bit, column in enumerate(columns):
             if len(masks) > _MAX_SPLIT_CONFIGS // 2:
-                configs.update(_region_values(columns, full.bit_length()))
+                configs.update(_transpose(columns, full.bit_length()))
                 break
             split = {}
             while masks:  # popped, so a mask is freed once split

@@ -14,16 +14,17 @@ garbage values backward in `invert`: all 2^b values in ascending order, or
 given values in their order, in chunks of at most 2^`_CHUNK_BITS`, so its
 memory does not grow with b. A one-lane pass is one `_run`. `_final_lines`
 is the one place that decides whether the restored lines held, and
-`_violation` the one pass run only for that verdict. A chunk's
-region lines become one integer per input in `_region_values`, which writes
-each line once into a buffer of little-endian bytes per input, so its cost
-is linear in the region's width, and reads values of up to 64 lines back as
-one array of words, so that step is C work per input too. Enumeration is
-refused above a configurable bound so exponential work never happens by
-accident. `_refuse_beyond` raises every `ExhaustiveBoundError` of every
-module, in one message shape: the input rows of `check_enumeration_bound`,
-the garbage rows of blind search, and the regions and configurations too
-wide to write in decimal. Beside it, `_decimal_bits` gives that decimal
+`_violation` the one pass run only for that verdict. `_transpose` is the
+one bit-matrix transpose, its own inverse: it turns a chunk's region lines
+into one integer per input, and given values into the columns a pass starts
+from. It writes each column once into a buffer of little-endian bytes per
+row, so its cost is linear in the column count, and reads rows of up to 64
+bits back as one array of words, so that step is C work per row too.
+Enumeration is refused above a configurable bound so exponential work never
+happens by accident. `_refuse_beyond` raises every `ExhaustiveBoundError` of
+every module, in one message shape: the input rows of
+`check_enumeration_bound`, the garbage rows of blind search, and the regions
+and configurations too wide to write in decimal. Beside it, `_decimal_bits` gives that decimal
 bound, `_DECIMAL_BITS` or fewer under a lower `str()` digit limit, for every
 report that writes a value in decimal. `_int_to_bits` is the one writer of a
 value's bits, bit 0 first: one lane's start columns in `_lane`, `invert`'s
@@ -35,7 +36,6 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import reduce
-from itertools import repeat
 from operator import and_, iadd
 from typing import Iterable, Iterator, Sequence
 
@@ -211,8 +211,8 @@ def _input_column(i: int, rows: int) -> int:
     return column
 
 
-# The array typecode of an unsigned int per item size in bytes, for the word
-# transpose in `_region_values`. C fixes only minimum sizes, so pick by size.
+# The array typecode of an unsigned int per item size in bytes, for the words
+# `_transpose` reads back. C fixes only minimum sizes, so pick by size.
 _WORD_CODE = {array(code).itemsize: code for code in "QLIHB"}
 if not {1, 2, 4, 8} <= _WORD_CODE.keys():
     raise ImportError(f"no 1-, 2-, 4- and 8-byte array typecodes here: {_WORD_CODE}")
@@ -222,19 +222,19 @@ _BIG_ENDIAN = sys.byteorder == "big"
 _BYTE_OF_BIT = [bytes.maketrans(b"01", bytes((0, 1 << j))) for j in range(8)]
 
 
-def _region_values(columns: Sequence[int], rows: int) -> tuple[int, ...]:
-    """Transpose bit-sliced region lines into one integer per input row.
+def _transpose(columns: Sequence[int], rows: int) -> tuple[int, ...]:
+    """Transpose a bit matrix: bit j of row x is bit x of `columns[j]`, so it is its own inverse.
 
-    The first column is bit 0 of every value. Each group of eight columns is
-    spread one bit per row into one byte per row, and copied with one strided
-    slice into a buffer that holds each row's value as little-endian bytes,
-    row after row. So each column is written once. A row of at most 8 bytes
-    is padded to a word of 1, 2, 4 or 8 bytes, and the buffer is read back as
-    one array of words, which is C work per row; a wider row is read with one
+    Bit-sliced region lines become one integer per lane, and `rows`-bit
+    values, passed as the columns, become their `rows` bit-sliced columns.
+    Each group of eight columns is spread one bit per row into one byte per
+    row, and copied with one strided slice into a buffer that holds each
+    row's value as little-endian bytes, row after row. So each column is
+    written once. A row of at most 8 bytes is padded to a word of 1, 2, 4 or
+    8 bytes (2 with no columns), and the buffer is read back as one array of
+    words, which is C work per row; a wider row is read with one
     `int.from_bytes`.
     """
-    if not columns:
-        return (0,) * rows
     groups = (len(columns) + 7) // 8
     size = 1 << (groups - 1).bit_length() if groups <= 8 else groups  # bytes per row
     spec = f"0{rows}b"  # a column's digits, row rows-1 first
@@ -250,28 +250,6 @@ def _region_values(columns: Sequence[int], rows: int) -> tuple[int, ...]:
     if _BIG_ENDIAN:  # unreachable on the little-endian hosts CI runs on
         words.byteswap()
     return tuple(words)
-
-
-# _DIGIT_OF_BIT[j] maps each byte to the ASCII digit of its bit j: runs of
-# 2^j zeros and 2^j ones, the pattern bit j takes as the byte counts up.
-_DIGIT_OF_BIT = [(b"0" * (1 << j) + b"1" * (1 << j)) * (128 >> j) for j in range(8)]
-
-
-def _region_columns(values: Sequence[int], width: int) -> list[int]:
-    """Bit-slice one `width`-bit integer per row into `width` columns.
-
-    The inverse of `_region_values`: bit x of column j is bit j of
-    `values[x]`. The values are written out as fixed-size little-endian
-    byte strings, last row first; byte g of each, read with a stride, is one
-    byte per row, and each of its eight bits is read as a digit string.
-    """
-    size = (width + 7) // 8
-    raw = b"".join(map(int.to_bytes, reversed(values), repeat(size), repeat("little")))
-    columns: list[int] = []
-    for g in range(0, width, 8):
-        group = raw[g // 8 :: size]
-        columns.extend(int(group.translate(_DIGIT_OF_BIT[j]), 2) for j in range(min(8, width - g)))
-    return columns
 
 
 def _apply_gates(lines: list[int], gates: Iterable[Gate], full: int) -> None:
@@ -340,7 +318,7 @@ def _passes(
     values of that region in ascending order: the low columns count over the
     chunk, built once, and the chunk's index sets the columns above. Given
     values are cut into chunks in their order and bit-sliced with
-    `_region_columns`. Yields ``(full, lines)`` per chunk, bit j of each line
+    `_transpose`. Yields ``(full, lines)`` per chunk, bit j of each line
     being the chunk's j-th value and `full` having a bit set per value.
     """
     iface = machine.iface
@@ -352,7 +330,7 @@ def _passes(
         chunks = ((full, counting + [full * (c >> i & 1) for i in range(bits - low)]) for c in range(1 << bits - low))
     else:
         parts = (values[done : done + (1 << _CHUNK_BITS)] for done in range(0, len(values), 1 << _CHUNK_BITS))
-        chunks = (((1 << len(part)) - 1, _region_columns(part, bits)) for part in parts)
+        chunks = (((1 << len(part)) - 1, list(_transpose(part, bits))) for part in parts)
     for full, columns in chunks:
         yield full, _run(machine, [full * bit for bit in output] + columns, full, y is not None)
 
@@ -401,8 +379,8 @@ def truth_table(machine: Machine, max_input_bits: int = EXHAUSTIVE_BOUND) -> Fun
     outputs: list[tuple[int, ...]] = []
     garbage: list[tuple[int, ...]] = []
     for full, lines in _final_lines(machine, max_input_bits):
-        outputs.append(_region_values([lines[line] for line in iface.output_lines], full.bit_length()))
-        garbage.append(_region_values([lines[line] for line in iface.garbage_lines], full.bit_length()))
+        outputs.append(_transpose([lines[line] for line in iface.output_lines], full.bit_length()))
+        garbage.append(_transpose([lines[line] for line in iface.garbage_lines], full.bit_length()))
     outputs, garbage = (p[0] if len(p) == 1 else reduce(iadd, p, []) for p in (outputs, garbage))
     return FunctionTable(iface.input_width, iface.output_width, outputs, garbage)
 

@@ -313,7 +313,7 @@ class TestGarbageConfigs:
         # ripple_adder(9) reaches exactly 256 configurations per chunk, the most the split keeps splitting;
         # bennett(incrementer(10))'s one chunk reaches 1024, so it is transposed once.
         calls = []
-        monkeypatch.setattr(analysis, "_region_values", lambda *args: calls.append(1) or sim._region_values(*args))
+        monkeypatch.setattr(analysis, "_transpose", lambda *args: calls.append(1) or sim._transpose(*args))
         assert garbage_configs(m) == table_configs(m)
         assert len(calls) == transposed
 

@@ -171,6 +171,16 @@ class TestParse:
         t, t_again = truth_table(m), truth_table(again)
         assert (t_again.outputs, t_again.garbage) == (t.outputs, t.garbage)
 
+    @pytest.mark.parametrize("gates", ["", "gate x 0\n", "gate cx 0 1\n" * 1000], ids=["none", "one", "1000"])
+    def test_width_zero_is_refused_before_the_gate_block(self, gates):
+        # `_header` refuses width 0 itself, so a long width-0 document builds no gate block.
+        def no_gate_block(block, width):
+            raise AssertionError(f"the gate block was read under width {width}")
+
+        text = "width 0\n" + gates
+        with mock.patch.object(fileformat, "_gate_block", no_gate_block):
+            assert parse_outcome(parse_circuit, text) == parse_outcome(reference_parse_circuit, text)
+
     def test_gate_line_out_of_range(self):
         text = "width 4\ninput 0 1 2 3\noutput 0 1 2 3\ngate cx 0 9\n"
         with pytest.raises(CircuitSyntaxError, match="out of range") as exc:

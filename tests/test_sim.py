@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from typing import Sequence
 from unittest import mock
 
 import pytest
@@ -445,41 +446,45 @@ def test_domain_counts_up_in_chunks(monkeypatch, chunk_bits):
                     ran.append(full.bit_length())
                     assert full == (1 << full.bit_length()) - 1
                     assert len(lines) == iface.width
-                    seen += sim._region_values(lines[:bits], full.bit_length())
+                    seen += sim._transpose(lines[:bits], full.bit_length())
                 assert ran == sizes
                 assert seen == (list(range(1 << bits)) if values is None else values)
 
 
-def reference_region_values(columns: list[int], rows: int) -> tuple[int, ...]:
+def reference_transpose(columns: Sequence[int], rows: int) -> tuple[int, ...]:
     """Row x's value read bit by bit from the columns, as the word transpose must give it."""
     return tuple(sum(((col >> x) & 1) << i for i, col in enumerate(columns)) for x in range(rows))
 
 
 _TRANSPOSE_WIDTHS = [0, 1, 7, 8, 9, 63, 64, 65, 127, 128, 130, 192, 1000]
-_TRANSPOSE_ROWS = [1, 2, 3, 4, 8, 64, 1 << 10]
+_TRANSPOSE_ROWS = [0, 1, 2, 3, 4, 8, 64, 1 << 10]
 
 
 class TestWordTranspose:
-    """`_region_values` reads a row of up to 64 columns as one word, and a wider row from its bytes;
-    `_region_columns` is its inverse."""
+    """`_transpose` reads a row of up to 64 columns as one word, and a wider row from its bytes;
+    it is its own inverse, so it also bit-slices given values into columns."""
 
+    # The last four are a full chunk of given values of 0, 9, 14 and 20 bits, as `_passes` bit-slices them.
     @pytest.mark.parametrize(
-        "rows, width", [(r, w) for w in _TRANSPOSE_WIDTHS for r in _TRANSPOSE_ROWS] + [(64, 3000)]
+        "rows, width",
+        [(r, w) for w in _TRANSPOSE_WIDTHS for r in _TRANSPOSE_ROWS]
+        + [(64, 3000)]
+        + [(bits, 1 << sim._CHUNK_BITS) for bits in (0, 9, 14, 20)],
     )
     def test_matches_per_row_reference(self, rows, width):
         rng = random.Random(width * 1000 + rows)
         columns = [rng.getrandbits(rows) for _ in range(width)]
-        values = sim._region_values(columns, rows)
+        values = sim._transpose(columns, rows)
         assert type(values) is tuple and all(type(v) is int for v in values)
-        assert values == reference_region_values(columns, rows)
-        assert sim._region_columns(values, width) == columns
+        assert values == reference_transpose(columns, rows)
+        assert sim._transpose(values, width) == reference_transpose(values, width) == tuple(columns)
 
-    @given(st.integers(0, 140), st.integers(1, 70), st.data())
+    @given(st.integers(0, 140), st.integers(0, 70), st.data())
     def test_random_columns_round_trip(self, width, rows, data):
         columns = data.draw(st.lists(st.integers(0, (1 << rows) - 1), min_size=width, max_size=width))
-        values = sim._region_values(columns, rows)
-        assert values == reference_region_values(columns, rows)
-        assert sim._region_columns(values, width) == columns
+        values = sim._transpose(columns, rows)
+        assert values == reference_transpose(columns, rows)
+        assert sim._transpose(values, width) == reference_transpose(values, width) == tuple(columns)
 
 
 def lanes(width: int):
@@ -493,16 +498,16 @@ class TestRunCore:
     @given(machines(), st.data())
     def test_forward_matches_run(self, m, data):
         xs = data.draw(lanes(m.iface.input_width))
-        lines = sim._run(m, sim._region_columns(xs, m.iface.input_width), (1 << len(xs)) - 1)
+        lines = sim._run(m, sim._transpose(xs, m.iface.input_width), (1 << len(xs)) - 1)
         expected = [run(m.circuit, initial_state(m, x)).value_of(range(m.width)) for x in xs]
-        assert list(sim._region_values(lines, len(xs))) == expected
+        assert list(sim._transpose(lines, len(xs))) == expected
 
     @given(machines(), st.data())
     def test_backward_matches_run(self, m, data):
         iface = m.iface
         region = iface.output_lines + iface.garbage_lines  # output value, then garbage above it
         values = data.draw(lanes(len(region)))
-        lines = sim._run(m, sim._region_columns(values, len(region)), (1 << len(values)) - 1, backward=True)
+        lines = sim._run(m, sim._transpose(values, len(region)), (1 << len(values)) - 1, backward=True)
 
         def start_of(value: int) -> int:
             final = BitState.zeros(m.width).with_value(region, value)
@@ -510,13 +515,13 @@ class TestRunCore:
                 final = final.with_value([line], const)
             return run(m.circuit, final, "backward").value_of(range(m.width))
 
-        assert list(sim._region_values(lines, len(values))) == [start_of(v) for v in values]
+        assert list(sim._transpose(lines, len(values))) == [start_of(v) for v in values]
 
     @given(st.integers(1, 70), st.data())
     def test_held_is_every_pair_per_lane(self, width, data):
         states = data.draw(lanes(width))
         pairs = data.draw(st.lists(st.tuples(st.integers(0, width - 1), st.integers(0, 1)), max_size=6))
-        held = sim._held(sim._region_columns(states, width), pairs, (1 << len(states)) - 1)
+        held = sim._held(sim._transpose(states, width), pairs, (1 << len(states)) - 1)
         assert held == sum(all(s >> line & 1 == const for line, const in pairs) << j for j, s in enumerate(states))
 
     @pytest.mark.parametrize("width", [0, 1, 7, 8, 9, 63, 64, 65, 3000])
@@ -526,9 +531,9 @@ class TestRunCore:
         for value in sorted({0, (1 << width) - 1, 1 << width >> 1, rng.getrandbits(width), rng.getrandbits(width)}):
             lane = sim._lane(value, width)
             assert type(lane) is list and all(bit in (0, 1) and type(bit) is int for bit in lane)
-            assert lane == sim._region_columns([value], width)
+            assert tuple(lane) == sim._transpose([value], width)
             assert sim._lane_value(lane, range(width)) == value
-            assert sim._lane_value(lane, region) == sim._region_values([lane[line] for line in region], 1)[0]
+            assert sim._lane_value(lane, region) == sim._transpose([lane[line] for line in region], 1)[0]
 
 
 def count_passes(monkeypatch) -> list[int]:
